@@ -165,14 +165,11 @@ def spectral_bounds(grid: GridSpec, V: Field, use_dense: bool = True) -> tuple[f
     """
     vmax = float(V.values.max())
     if use_dense and grid.num_points <= semigroup.dense_cap():
-        op = semigroup.dense_schrodinger(grid, V)
-        lam = op.eigenvalues
-        lam_max = float(lam[-1])
-        lam_min = float(lam[0])
-        if lam_min <= 0:
+        lam = semigroup.dense_schrodinger(grid, V).eigenvalues
+        if semigroup.zero_modes(lam).any():
             # V == 0: smallest nonzero mode of -Delta on mean-zero fields
-            lam_min = (math.pi / grid.R) ** 2
-        return lam_min, lam_max
+            return (math.pi / grid.R) ** 2, float(lam.max())
+        return float(lam.min()), float(lam.max())
     xi_max2 = grid.d * (math.pi * grid.n / (2.0 * grid.R)) ** 2
     vmean = float(V.values.mean())
     lam_min = max(0.5 * vmean, (math.pi / grid.R) ** 2 if vmax == 0 else 1e-3)
@@ -320,24 +317,24 @@ class PerturbationKernel:
         return float(self.column_masses.max())
 
 
+def _zero_mode_rule(V: Field) -> str:
+    return "zero" if float(V.values.max()) == 0.0 else "apply"
+
+
 def dense_power(grid: GridSpec, V: Field, power: float) -> np.ndarray:
-    """Dense matrix of L^power on value vectors (zero mode killed if V = 0).
-
-    Cached on (grid, potential, power): the d = 3 matrices are expensive.
-    """
-    key = (grid, V.values.tobytes(), power)
-    hit = semigroup._dense_cache_get(_POWER_CACHE, key)
-    if hit is not None:
-        return hit
+    """Dense matrix of L^power on value vectors (zero mode killed if V = 0)."""
     op = semigroup.dense_schrodinger(grid, V)
-    rule = "zero" if float(V.values.max()) == 0.0 else "apply"
-    mat = semigroup.matrix_function(op, lambda lam: lam**power, rule)
-    mat.setflags(write=False)
-    semigroup._dense_cache_put(_POWER_CACHE, key, mat, limit=4)
-    return mat
+    return semigroup.matrix_function(op, lambda lam: lam**power, _zero_mode_rule(V))
 
 
-_POWER_CACHE: dict = {}
+def dense_power_apply(grid: GridSpec, V: Field, power: float, stack: np.ndarray) -> np.ndarray:
+    """L^power applied to a (batch, *grid shape) stack in the eigenbasis.
+
+    Same operator and zero-mode rule as :func:`dense_power`, without
+    forming its N x N matrix.
+    """
+    op = semigroup.dense_schrodinger(grid, V)
+    return semigroup.apply_function(op, lambda lam: lam**power, stack, _zero_mode_rule(V))
 
 
 def half_power_factor(grid: GridSpec, V: Field) -> np.ndarray:

@@ -46,8 +46,7 @@ def inv_sqrt_apply(
     if method == "dense":
         if float(V.values.max()) == 0.0:
             return spectral.apply_multiplier(f, spectral.inv_sqrt_laplacian())
-        mat = fracpow.dense_power(f.spec, V, -0.5)
-        return Field(f.spec, (mat @ f.flat()).reshape(f.spec.shape))
+        return Field(f.spec, fracpow.dense_power_apply(f.spec, V, -0.5, f.values[None])[0])
     if method == "quad":
         return fracpow.frac_power_apply(f, V, -0.5, quad, tau0=tau0)
     raise ValueError(f"unknown method {method!r}")

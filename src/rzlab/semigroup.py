@@ -7,7 +7,8 @@ Three independent realizations:
   exact for constant V;
 * a dense-matrix route: L assembled from the spectral Laplacian (so that
   dense and transform paths share one discrete operator exactly) plus
-  diag(V), with an eigendecomposition for matrix functions;
+  diag(V), with an eigendecomposition for matrix functions; a potential
+  whose samples are additively separable is factored per axis;
 * a Feynman-Kac Monte Carlo estimate of the kernel k_t(x, y) over
   Brownian bridges, free-space and non-periodized.
 """
@@ -16,9 +17,10 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -81,30 +83,53 @@ def strang_evolve(f: Field, V: Field, t: float, steps: int) -> Field:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Full matrix of a grid operator with its eigendecomposition."""
+    """Eigendecomposition of a grid operator, held as Kronecker factors.
+
+    ``factors`` holds one pair (lam_j, Q_j) per factor, and the operator is
+    the Kronecker sum of the Q_j diag(lam_j) Q_j^T.  A general operator has
+    one factor of order N = n^d; an operator that splits axis by axis has d
+    factors of order n.  Its eigenvalues are the sums of factor eigenvalues
+    and its eigenvectors the Kronecker products of factor eigenvectors, both
+    in row-major grid order (axis 0 slowest).
+    """
 
     grid: GridSpec
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    @classmethod
-    def from_matrix(cls, grid: GridSpec, matrix: np.ndarray) -> "DenseOperator":
-        scale = float(np.max(np.abs(matrix))) or 1.0
-        asym = float(np.max(np.abs(matrix - matrix.T)))
-        if asym > 1e-10 * scale:
-            raise ValueError(f"matrix is not symmetric: |M - M^T| = {asym:.3e}")
-        sym = 0.5 * (matrix + matrix.T)
-        lam, q = np.linalg.eigh(sym)
-        return cls(grid=grid, matrix=sym, eigenvalues=lam, eigenvectors=q)
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Orders of the factors; their product is the number of grid points."""
+        return tuple(len(lam) for lam, _ in self.factors)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """All N eigenvalues in Kronecker order (ascending only for one factor)."""
+        return np.ravel(reduce(np.add.outer, [lam for lam, _ in self.factors]))
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The N x N eigenvector matrix, materialized from the factors."""
+        return reduce(np.kron, [q for _, q in self.factors])
 
 
-def multiplier_matrix(grid: GridSpec, m: spectral.MultiplierSpec) -> np.ndarray:
-    """Dense matrix of a catalog multiplier (circulant from its delta response)."""
+def _eigh_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    scale = float(np.max(np.abs(matrix))) or 1.0
+    asym = float(np.max(np.abs(matrix - matrix.T)))
+    if asym > 1e-10 * scale:
+        raise ValueError(f"matrix is not symmetric: |M - M^T| = {asym:.3e}")
+    return np.linalg.eigh(0.5 * (matrix + matrix.T))
+
+
+def _check_dense_cap(grid: GridSpec) -> None:
     if grid.num_points > dense_cap():
         raise DenseCapError(
             f"{grid.num_points} points exceed dense cap {dense_cap()}"
         )
+
+
+def multiplier_matrix(grid: GridSpec, m: spectral.MultiplierSpec) -> np.ndarray:
+    """Dense matrix of a catalog multiplier (circulant from its delta response)."""
+    _check_dense_cap(grid)
     delta = np.zeros(grid.shape)
     delta[(0,) * grid.d] = 1.0
     col = spectral.apply_symbol_stack(delta, m.symbol(grid), grid.d).ravel()
@@ -128,51 +153,121 @@ def _offset_table(grid: GridSpec) -> np.ndarray:
     return off
 
 
-def dense_schrodinger(grid: GridSpec, V: Field) -> DenseOperator:
-    """Exact discrete L = -Delta + diag(V) with eigendecomposition.
+def schrodinger_matrix(grid: GridSpec, V: np.ndarray) -> np.ndarray:
+    """Assembled N x N matrix of L = -Delta + diag(V) on a grid."""
+    return -multiplier_matrix(grid, spectral.laplacian()) + np.diag(np.ravel(V))
 
-    Decompositions are cached on (grid, potential samples); the d = 3
-    oracle at the cap takes tens of seconds to factor.
+
+SEPARABLE_RTOL = 1e-12
+
+
+def _separable_parts(V: Field) -> list[np.ndarray] | None:
+    """Per-axis samples v_j with V = sum_j v_j(x_j), or None if V is not so.
+
+    The terms are the least-squares additive fit (axis means about the
+    grand mean, which goes to axis 0).  It is accepted when its residual is
+    at round-off level relative to max |V|; catalog potentials that are
+    not additive miss it by more than 0.3 relative.
+    """
+    vals = V.values
+    mean = vals.mean()
+    parts = [
+        vals.mean(axis=tuple(b for b in range(vals.ndim) if b != a)) - mean
+        for a in range(vals.ndim)
+    ]
+    parts[0] = parts[0] + mean
+    resid = float(np.max(np.abs(vals - reduce(np.add.outer, parts))))
+    if resid > SEPARABLE_RTOL * float(np.max(np.abs(vals))):
+        return None
+    return parts
+
+
+class SingleFlightCache:
+    """Bounded first-in first-out cache that builds each missing key once.
+
+    A thread that misses installs a future under the key and builds the
+    value; threads asking for the same key meanwhile wait on that future
+    instead of building it again.  A failed build is dropped from the
+    cache and re-raised in every waiting thread.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self._lock = threading.Lock()
+        self._entries: dict = {}
+
+    def get(self, key, build: Callable[[], object]):
+        with self._lock:
+            fut = self._entries.get(key)
+            owner = fut is None
+            if owner:
+                if len(self._entries) >= self.limit:
+                    self._entries.pop(next(iter(self._entries)))
+                fut = self._entries[key] = Future()
+        if owner:
+            try:
+                fut.set_result(build())
+            except BaseException as exc:
+                with self._lock:
+                    if self._entries.get(key) is fut:
+                        del self._entries[key]
+                fut.set_exception(exc)
+                raise
+        return fut.result()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+_DENSE_CACHE = SingleFlightCache(limit=3)
+
+
+def dense_schrodinger(grid: GridSpec, V: Field) -> DenseOperator:
+    """Exact discrete L = -Delta + diag(V) with its eigendecomposition.
+
+    When the samples of V are additively separable (zero, const, harmonic),
+    L is the Kronecker sum of d one-dimensional operators and is factored
+    per axis by d eigendecompositions of order n; otherwise the assembled
+    N x N matrix is factored whole.  Decompositions are cached on (grid,
+    potential samples), and concurrent callers of one key share a single
+    factorization: the d = 3 oracle at the cap takes seconds to factor.
     """
     _check_potential(V, grid)
-    key = (grid, V.values.tobytes())
-    hit = _dense_cache_get(_SCHRODINGER_CACHE, key)
-    if hit is not None:
-        return hit
-    lap = multiplier_matrix(grid, spectral.laplacian())
-    mat = -lap + np.diag(V.flat())
-    op = DenseOperator.from_matrix(grid, mat)
-    _dense_cache_put(_SCHRODINGER_CACHE, key, op, limit=3)
-    return op
+    _check_dense_cap(grid)
+    return _DENSE_CACHE.get((grid, V.values.tobytes()), lambda: _factor(grid, V))
 
 
-_SCHRODINGER_CACHE: dict = {}
+def _factor(grid: GridSpec, V: Field) -> DenseOperator:
+    parts = _separable_parts(V) if grid.d > 1 else None
+    if parts is None:
+        matrices = [schrodinger_matrix(grid, V.values)]
+    else:
+        line = GridSpec(1, grid.n, grid.R)
+        matrices = [schrodinger_matrix(line, v) for v in parts]
+    factors = tuple(_eigh_symmetric(m) for m in matrices)
+    for arrays in factors:
+        for a in arrays:
+            a.setflags(write=False)
+    return DenseOperator(grid, factors)
 
 
-def _dense_cache_get(cache: dict, key):
-    return cache.get(key)
+def zero_modes(lam: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues treated as zero: |lam| <= 1e-9 max(1, max |lam|).
 
-
-def _dense_cache_put(cache: dict, key, value, limit: int) -> None:
-    if key not in cache and len(cache) >= limit:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
-
-
-def matrix_function(
-    op: DenseOperator, phi: Callable[[np.ndarray], np.ndarray], zero_mode_rule: str = "apply"
-) -> np.ndarray:
-    """phi of the operator in its eigenbasis: Q phi(Lambda) Q^T.
-
-    ``zero_mode_rule`` controls (near-)zero eigenvalues: "zero" forces
-    phi there to 0 (negative powers of a singular operator on mean-zero
-    fields), "apply" evaluates phi.
+    The sign of a computed zero eigenvalue is rounding noise, so every
+    consumer of the spectrum uses this one predicate.
     """
+    lam = np.asarray(lam)
+    return np.abs(lam) <= 1e-9 * max(1.0, float(np.max(np.abs(lam))))
+
+
+def _spectral_values(
+    op: DenseOperator, phi: Callable[[np.ndarray], np.ndarray], zero_mode_rule: str
+) -> np.ndarray:
     if zero_mode_rule not in ("zero", "apply"):
         raise ValueError(f"unknown zero-mode rule {zero_mode_rule!r}")
-    lam = op.eigenvalues.copy()
-    ztol = 1e-9 * max(1.0, float(np.max(np.abs(lam))))
-    zero_mask = np.abs(lam) <= ztol
+    lam = op.eigenvalues
+    zero_mask = zero_modes(lam)
     if zero_mode_rule == "zero":
         vals = np.zeros_like(lam)
         vals[~zero_mask] = phi(lam[~zero_mask])
@@ -181,7 +276,49 @@ def matrix_function(
     if not np.all(np.isfinite(vals)):
         bad = lam[~np.isfinite(vals)]
         raise ValueError(f"matrix function not finite at eigenvalues {bad[:3]}")
-    return (op.eigenvectors * vals) @ op.eigenvectors.T
+    return vals.reshape(op.shape)
+
+
+def _contract(x: np.ndarray, op: DenseOperator, to_basis: bool) -> np.ndarray:
+    """Q^T x (to_basis) or Q x over the trailing factor axes of x, one axis at a time."""
+    k = len(op.factors)
+    for a, (_, q) in enumerate(op.factors):
+        ax = x.ndim - k + a
+        x = np.swapaxes(np.swapaxes(x, ax, -1) @ (q if to_basis else q.T), ax, -1)
+    return x
+
+
+def matrix_function(
+    op: DenseOperator, phi: Callable[[np.ndarray], np.ndarray], zero_mode_rule: str = "apply"
+) -> np.ndarray:
+    """phi of the operator as an N x N matrix: Q phi(Lambda) Q^T.
+
+    ``zero_mode_rule`` controls (near-)zero eigenvalues: "zero" forces
+    phi there to 0 (negative powers of a singular operator on mean-zero
+    fields), "apply" evaluates phi.  Only checks that measure the kernel
+    itself need the matrix; :func:`apply_function` applies phi(L) to fields.
+    """
+    vals = _spectral_values(op, phi, zero_mode_rule)
+    N = op.grid.num_points
+    coef = (op.eigenvectors * vals.ravel()).reshape(N, *op.shape)
+    return _contract(coef, op, to_basis=False).reshape(N, N)
+
+
+def apply_function(
+    op: DenseOperator,
+    phi: Callable[[np.ndarray], np.ndarray],
+    stack: np.ndarray,
+    zero_mode_rule: str = "apply",
+) -> np.ndarray:
+    """phi(L) applied to a (batch, *grid shape) stack: Q (phi(Lambda) (Q^T x)).
+
+    Contracts one factor at a time, so the N x N matrix of phi(L) is never
+    formed; ``zero_mode_rule`` is as in :func:`matrix_function`.
+    """
+    vals = _spectral_values(op, phi, zero_mode_rule)
+    x = np.asarray(stack, dtype=float).reshape(len(stack), *op.shape)
+    out = _contract(_contract(x, op, to_basis=True) * vals, op, to_basis=False)
+    return out.reshape(np.shape(stack))
 
 
 def heat_kernel_free(x: np.ndarray, y: np.ndarray, t: float) -> float:

@@ -236,9 +236,7 @@ def half_factor_apply_stack(grid: GridSpec, V: Field, stack: np.ndarray) -> np.n
             stack, spectral.inv_sqrt_laplacian().symbol(grid), grid.d
         )
     else:
-        mat = fracpow.dense_power(grid, V, -0.5)
-        flat = stack.reshape(len(stack), -1)
-        half = (mat @ flat.T).T.reshape(stack.shape)
+        half = fracpow.dense_power_apply(grid, V, -0.5, stack)
     return spectral.apply_symbol_stack(half, spectral.sqrt_laplacian().symbol(grid), grid.d)
 
 
@@ -757,16 +755,12 @@ def check_quad_vs_dense(cfg: RunConfig) -> CheckReport:
         grid = GridSpec(d, n, cfg.R)
         fields = trial_family(grid, rng, 8, mean_zero=True, structured=False)
         stack = _stack(fields)
-        flat = stack.reshape(len(stack), -1)
         for pot in catalog_for(cfg, d):
             V = potentials.discretize_potential(pot, grid)
             srange = fracpow.spectral_bounds(grid, V)
-            op = semigroup.dense_schrodinger(grid, V)
-            rule = "zero" if V.values.max() == 0 else "apply"
             for power in fracpow.POWERS:
                 quad = fracpow.build_quadrature(power, srange, tol=cfg.quad_tol)
-                dm = semigroup.matrix_function(op, lambda lam: lam**power, rule)
-                ref = (dm @ flat.T).T
+                ref = fracpow.dense_power_apply(grid, V, power, stack).reshape(len(stack), -1)
                 got = fracpow.subordinated_apply_stack(
                     stack, V.values, grid, power, quad, tau0=cfg.tau0
                 ).reshape(len(stack), -1)

@@ -213,3 +213,13 @@ def test_spectral_bounds_with_and_without_dense():
     lo2, hi2 = fracpow.spectral_bounds(g, V, use_dense=False)
     assert 0 < lo2 <= hi2
     assert hi2 >= op.eigenvalues[-1] * 0.99
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spectral_bounds_zero_potential_floor(d):
+    # The computed zero eigenvalue has rounding sign; either sign is a zero mode.
+    g = GridSpec(d, 16, 4.0)
+    V = potentials.discretize_potential(potentials.zero(), g)
+    lo, hi = fracpow.spectral_bounds(g, V)
+    assert lo == (math.pi / g.R) ** 2
+    assert hi == pytest.approx(d * (math.pi * g.n / (2.0 * g.R)) ** 2, rel=1e-12)

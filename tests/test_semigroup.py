@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -114,7 +116,8 @@ def test_dense_positive_semidefinite(g1):
     op = semigroup.dense_schrodinger(g1, V)
     assert op.eigenvalues.min() >= -1e-8
     recon = (op.eigenvectors * op.eigenvalues) @ op.eigenvectors.T
-    assert np.max(np.abs(recon - op.matrix)) <= 1e-8 * np.max(np.abs(op.matrix))
+    mat = semigroup.schrodinger_matrix(g1, V.values)
+    assert np.max(np.abs(recon - mat)) <= 1e-8 * np.max(np.abs(mat))
 
 
 def test_dense_cap_enforced():
@@ -137,7 +140,8 @@ def test_matrix_function_identity(g1):
     V = potentials.discretize_potential(potentials.harmonic(), g1)
     op = semigroup.dense_schrodinger(g1, V)
     recon = semigroup.matrix_function(op, lambda lam: lam)
-    assert np.max(np.abs(recon - op.matrix)) <= 1e-8 * np.max(np.abs(op.matrix))
+    mat = semigroup.schrodinger_matrix(g1, V.values)
+    assert np.max(np.abs(recon - mat)) <= 1e-8 * np.max(np.abs(mat))
 
 
 def test_matrix_function_inv_sqrt_matches_multiplier(g1):
@@ -155,6 +159,111 @@ def test_matrix_function_rejects_nonfinite(g1):
         semigroup.matrix_function(
             op, lambda lam: np.where(lam > 1.0, np.inf, lam), "apply"
         )
+
+
+SEPARABLE = [potentials.zero(), potentials.const(2.0), potentials.harmonic()]
+
+
+def _assembled_function(g, V, phi, rule):
+    """phi(L) by eigh of the assembled N x N matrix, the unfactored reference."""
+    lam, q = np.linalg.eigh(semigroup.schrodinger_matrix(g, V.values))
+    vals = np.zeros_like(lam)
+    keep = ~semigroup.zero_modes(lam) if rule == "zero" else np.ones(lam.shape, bool)
+    vals[keep] = phi(lam[keep])
+    return (q * vals) @ q.T
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("pot", SEPARABLE, ids=lambda p: p.label())
+def test_separable_factors_match_assembled_eigh(d, n, pot):
+    g = GridSpec(d, n, 4.0)
+    V = potentials.discretize_potential(pot, g)
+    op = semigroup.dense_schrodinger(g, V)
+    assert op.shape == (n,) * d
+    rule = "zero" if pot.tag == "zero" else "apply"
+    x = np.random.default_rng(d * n).standard_normal((3, *g.shape))
+    x -= x.mean(axis=tuple(range(1, d + 1)), keepdims=True)
+    for phi in (lambda lam: np.exp(-0.3 * lam), lambda lam: lam**-0.5):
+        ref = _assembled_function(g, V, phi, rule)
+        got = semigroup.matrix_function(op, phi, rule)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        applied = semigroup.apply_function(op, phi, x, rule).reshape(3, -1)
+        want = x.reshape(3, -1) @ ref
+        assert np.linalg.norm(applied - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [potentials.ce1(0.25), potentials.ce2(4.0), potentials.ce3(), None],
+    ids=["ce1", "ce2", "ce3", "uniform"],
+)
+def test_non_separable_potentials_take_one_factor(pot):
+    g = GridSpec(2, 8, 4.0)
+    if pot is None:
+        V = Field(g, np.random.default_rng(12).uniform(0.0, 3.0, g.shape))
+    else:
+        V = potentials.discretize_potential(pot, g)
+    op = semigroup.dense_schrodinger(g, V)
+    assert op.shape == (g.num_points,)
+    lam, _ = np.linalg.eigh(semigroup.schrodinger_matrix(g, V.values))
+    np.testing.assert_allclose(op.eigenvalues, lam, rtol=0, atol=1e-12 * np.abs(lam).max())
+
+
+@pytest.mark.parametrize("pot", [potentials.harmonic(), potentials.ce3()], ids=["sep", "whole"])
+def test_apply_function_equals_matrix_function(pot):
+    g = GridSpec(2, 8, 4.0)
+    V = potentials.discretize_potential(pot, g)
+    op = semigroup.dense_schrodinger(g, V)
+    x = np.random.default_rng(4).standard_normal((5, *g.shape))
+    phi = lambda lam: lam**-0.5  # noqa: E731
+    got = semigroup.apply_function(op, phi, x)
+    want = (x.reshape(5, -1) @ semigroup.matrix_function(op, phi)).reshape(x.shape)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_dense_cache_miss_is_single_flight(monkeypatch):
+    g = GridSpec(1, 32, 4.0)
+    V = Field(g, np.random.default_rng(20261018).uniform(0.0, 2.0, g.shape))
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def slow_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        time.sleep(0.2)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
+    barrier = threading.Barrier(2)
+    ops = []
+
+    def worker():
+        barrier.wait(timeout=5)
+        ops.append(semigroup.dense_schrodinger(g, V))
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert calls == [(32, 32)]
+    assert len(ops) == 2 and ops[0] is ops[1]
+
+
+def test_single_flight_cache_bounded_and_drops_failures():
+    cache = semigroup.SingleFlightCache(limit=2)
+    for key in "abc":
+        assert cache.get(key, lambda key=key: key.upper()) == key.upper()
+    assert len(cache) == 2
+    assert cache.get("a", lambda: "rebuilt") == "rebuilt"  # evicted first in
+
+    def fail():
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        cache.get("x", fail)
+    assert cache.get("x", lambda: "ok") == "ok"
 
 
 def test_dense_semigroup_is_splitting_limit(g1):

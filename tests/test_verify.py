@@ -105,3 +105,18 @@ def test_report_contains_config_and_measured():
     assert raw["config"]["n"] == 32
     assert "rel_frobenius_err" in raw["measured"]
     assert raw["verdict"] == "pass"
+
+
+def test_core_suite_reports_do_not_depend_on_jobs():
+    def body(reports):
+        out = []
+        for r in reports:
+            raw = r.to_dict(include_runtime=False)
+            raw["config"].pop("jobs")
+            out.append(raw)
+        return out
+
+    one = verify.run_suite("core", verify.RunConfig(jobs=1))
+    two = verify.run_suite("core", verify.RunConfig(jobs=2))
+    assert [r.check_id for r in two] == list(verify.CORE_CHECKS)
+    assert body(two) == body(one)
