@@ -257,7 +257,6 @@ def zero_modes(lam: np.ndarray) -> np.ndarray:
     The sign of a computed zero eigenvalue is rounding noise, so every
     consumer of the spectrum uses this one predicate.
     """
-    lam = np.asarray(lam)
     return np.abs(lam) <= 1e-9 * max(1.0, float(np.max(np.abs(lam))))
 
 
@@ -316,9 +315,9 @@ def apply_function(
     formed; ``zero_mode_rule`` is as in :func:`matrix_function`.
     """
     vals = _spectral_values(op, phi, zero_mode_rule)
-    x = np.asarray(stack, dtype=float).reshape(len(stack), *op.shape)
+    x = stack.reshape(len(stack), *op.shape)
     out = _contract(_contract(x, op, to_basis=True) * vals, op, to_basis=False)
-    return out.reshape(np.shape(stack))
+    return out.reshape(stack.shape)
 
 
 def heat_kernel_free(x: np.ndarray, y: np.ndarray, t: float) -> float:

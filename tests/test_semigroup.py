@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 
@@ -215,7 +216,7 @@ def test_apply_function_equals_matrix_function(pot):
     V = potentials.discretize_potential(pot, g)
     op = semigroup.dense_schrodinger(g, V)
     x = np.random.default_rng(4).standard_normal((5, *g.shape))
-    phi = lambda lam: lam**-0.5  # noqa: E731
+    phi = lambda lam: lam**-0.5
     got = semigroup.apply_function(op, phi, x)
     want = (x.reshape(5, -1) @ semigroup.matrix_function(op, phi)).reshape(x.shape)
     assert got.shape == x.shape
@@ -234,21 +235,27 @@ def test_dense_cache_miss_is_single_flight(monkeypatch):
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
-    barrier = threading.Barrier(2)
+    workers = 4
+    barrier = threading.Barrier(workers)
     ops = []
 
     def worker():
         barrier.wait(timeout=5)
         ops.append(semigroup.dense_schrodinger(g, V))
 
-    threads = [threading.Thread(target=worker) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
     assert calls == [(32, 32)]
-    assert len(ops) == 2 and ops[0] is ops[1]
+    assert len(ops) == workers and all(op is ops[0] for op in ops)
 
 
 def test_single_flight_cache_bounded_and_drops_failures():
