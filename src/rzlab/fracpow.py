@@ -278,19 +278,19 @@ def green_mass(grid: GridSpec, V: Field, y) -> float:
 
     ``y`` is a grid multi-index (tuple) or flat index.
     """
-    if float(V.values.max()) == 0.0:
-        return 0.0
     yflat = grid.flat_index(y) if isinstance(y, tuple) else int(y)
-    G = dense_green(grid, V, -1.0)
-    return float(V.flat() @ G[:, yflat] * grid.cell_volume)
+    return float(green_mass_all(grid, V)[yflat])
 
 
 def green_mass_all(grid: GridSpec, V: Field) -> np.ndarray:
-    """Green mass at every grid point at once (one matrix-vector product)."""
+    """Green mass at every grid point at once.
+
+    The Green kernel is symmetric, so the masses are L^(-1) V: the h^d of
+    the quadrature cancels the 1/h^d of the kernel scaling.
+    """
     if float(V.values.max()) == 0.0:
         return np.zeros(grid.num_points)
-    G = dense_green(grid, V, -1.0)
-    return (V.flat() @ G) * grid.cell_volume
+    return dense_power_apply(grid, V, -1.0, V.values[None])[0].ravel()
 
 
 @dataclass(frozen=True, eq=False)

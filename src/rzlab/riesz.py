@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fracpow, spectral
-from .grid import Field, lp_norm
+from .grid import Field, GridSpec, lp_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +34,19 @@ def _magnitude(components: tuple[Field, ...]) -> Field:
     return Field(components[0].spec, np.sqrt(sq))
 
 
+def inv_sqrt_apply_stack(grid: GridSpec, V: Field, stack: np.ndarray) -> np.ndarray:
+    """Dense L^(-1/2) on a (batch, *grid shape) stack of fields.
+
+    One eigenbasis pass serves the whole stack; V = 0 uses the multiplier
+    of (-Delta)^(-1/2) on mean-zero fields.
+    """
+    if float(V.values.max()) == 0.0:
+        return spectral.apply_symbol_stack(
+            stack, spectral.inv_sqrt_laplacian().symbol(grid), grid.d
+        )
+    return fracpow.dense_power_apply(grid, V, -0.5, stack)
+
+
 def inv_sqrt_apply(
     f: Field,
     V: Field,
@@ -46,10 +59,13 @@ def inv_sqrt_apply(
     if method == "dense":
         if float(V.values.max()) == 0.0:
             return spectral.apply_multiplier(f, spectral.inv_sqrt_laplacian())
-        return Field(f.spec, fracpow.dense_power_apply(f.spec, V, -0.5, f.values[None])[0])
+        return Field(f.spec, inv_sqrt_apply_stack(f.spec, V, f.values[None])[0])
     if method == "quad":
         return fracpow.frac_power_apply(f, V, -0.5, quad, tau0=tau0)
     raise ValueError(f"unknown method {method!r}")
+
+
+ROUTES = ("direct", "factored")
 
 
 def schrodinger_riesz(
@@ -62,10 +78,17 @@ def schrodinger_riesz(
     tau0: float = fracpow.DEFAULT_SUBORDINATION_STEP,
 ) -> RieszResult:
     """All d Riesz components of f with their pointwise l2 magnitude."""
-    if route not in ("direct", "factored"):
+    if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
     half = inv_sqrt_apply(f, V, method=method, quad=quad, tau0=tau0)
-    d = f.spec.d
+    return riesz_from_inv_sqrt(half, route=route)
+
+
+def riesz_from_inv_sqrt(half: Field, *, route: str = "factored") -> RieszResult:
+    """Riesz components of f given half = L^(-1/2) f, by the chosen route."""
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}")
+    d = half.spec.d
     if route == "direct":
         comps = tuple(
             spectral.apply_multiplier(half, spectral.derivative(j)) for j in range(1, d + 1)

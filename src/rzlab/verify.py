@@ -231,12 +231,7 @@ def _stack(fields: list[Field]) -> np.ndarray:
 
 def half_factor_apply_stack(grid: GridSpec, V: Field, stack: np.ndarray) -> np.ndarray:
     """sqrt(-Delta) L^(-1/2) applied to a stack of fields (dense + FFT)."""
-    if float(V.values.max()) == 0.0:
-        half = spectral.apply_symbol_stack(
-            stack, spectral.inv_sqrt_laplacian().symbol(grid), grid.d
-        )
-    else:
-        half = fracpow.dense_power_apply(grid, V, -0.5, stack)
+    half = riesz.inv_sqrt_apply_stack(grid, V, stack)
     return spectral.apply_symbol_stack(half, spectral.sqrt_laplacian().symbol(grid), grid.d)
 
 
@@ -455,10 +450,12 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
         grid = cfg.grid(d=d)
         V = potentials.discretize_potential(pot, grid)
         fields = trial_family(grid, rng, cfg.theorem_trials, mean_zero=True)
+        halves = riesz.inv_sqrt_apply_stack(grid, V, _stack(fields))
         results = []
-        for f in fields:
-            res = riesz.schrodinger_riesz(f, V, route="factored", method="dense")
-            direct = riesz.schrodinger_riesz(f, V, route="direct", method="dense")
+        for f, h in zip(fields, halves):
+            half = Field(grid, h)
+            res = riesz.riesz_from_inv_sqrt(half, route="factored")
+            direct = riesz.riesz_from_inv_sqrt(half, route="direct")
             scale = max(np.abs(c.values).max() for c in res.components)
             diff = max(
                 float(np.abs(a.values - b.values).max())
@@ -470,10 +467,12 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
         quad = fracpow.build_quadrature(
             -0.5, fracpow.spectral_bounds(grid, V), tol=cfg.quad_tol
         )
-        for f, res in results[:3]:
-            qres = riesz.schrodinger_riesz(
-                f, V, route="factored", method="quad", quad=quad, tau0=cfg.tau0
-            )
+        subset = results[:3]
+        qhalves = fracpow.subordinated_apply_stack(
+            _stack([f for f, _ in subset]), V.values, grid, -0.5, quad, tau0=cfg.tau0
+        )
+        for (_, res), qh in zip(subset, qhalves):
+            qres = riesz.riesz_from_inv_sqrt(Field(grid, qh), route="factored")
             num = math.sqrt(
                 sum(
                     float(np.sum((a.values - b.values) ** 2))
@@ -580,11 +579,9 @@ def check_vhalf(cfg: RunConfig) -> CheckReport:
         grid = cfg.grid(d=d)
         V = potentials.discretize_potential(pot, grid)
         fields = trial_family(grid, rng, 24, mean_zero=True)
+        outs = np.sqrt(V.values) * riesz.inv_sqrt_apply_stack(grid, V, _stack(fields))
         for p in ps:
-            vals = []
-            for f in fields:
-                out = riesz.sqrt_potential_inv_sqrt(f, V, method="dense")
-                vals.append(lp_norm(out, p) / lp_norm(f, p))
+            vals = [lp_norm(Field(grid, o), p) / lp_norm(f, p) for f, o in zip(fields, outs)]
             per[f"d{d}_p{p:g}"] = float(max(vals))
             if p == 2.0:
                 worst_p2 = max(worst_p2, per[f"d{d}_p{p:g}"])

@@ -166,6 +166,16 @@ def test_green_mass_random_potentials_bounded():
         assert np.all(masses[ys] <= 1.0 + 1e-8)
 
 
+def test_green_mass_matches_materialized_kernel():
+    g = GridSpec(2, 8, 4.0)
+    V = potentials.discretize_potential(potentials.ce3(), g)
+    G = fracpow.dense_green(g, V, -1.0)
+    want = (V.flat() @ G) * g.cell_volume
+    got = fracpow.green_mass_all(g, V)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert fracpow.green_mass(g, V, (3, 5)) == pytest.approx(want[g.flat_index((3, 5))], rel=1e-12)
+
+
 def test_perturbation_kernel_zero_potential():
     g = GridSpec(1, 16, 2.0)
     V = potentials.discretize_potential(potentials.zero(), g)

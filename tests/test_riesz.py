@@ -99,6 +99,24 @@ def test_sqrt_potential_harmonic_p2_bound(g2, harm):
         assert lp_norm(out, 2.0) <= lp_norm(f, 2.0) * (1 + 1e-6)
 
 
+@pytest.mark.parametrize("pot", [potentials.zero(), potentials.harmonic(), potentials.ce3()],
+                         ids=lambda p: p.tag)
+def test_stacked_inv_sqrt_matches_per_field(g2, pot):
+    V = potentials.discretize_potential(pot, g2)
+    rng = np.random.default_rng(10)
+    fields = [bandlimited_field(g2, rng) for _ in range(4)]
+    halves = riesz.inv_sqrt_apply_stack(g2, V, np.stack([f.values for f in fields]))
+    for f, h in zip(fields, halves):
+        want = riesz.inv_sqrt_apply(f, V)
+        np.testing.assert_allclose(h, want.values, rtol=0, atol=1e-12 * np.abs(want.values).max())
+        for route in riesz.ROUTES:
+            got = riesz.riesz_from_inv_sqrt(Field(g2, h), route=route)
+            ref = riesz.schrodinger_riesz(f, V, route=route)
+            for a, b in zip(got.components, ref.components):
+                np.testing.assert_allclose(a.values, b.values, rtol=0,
+                                           atol=1e-12 * np.abs(b.values).max())
+
+
 def test_unknown_route_rejected(g2, harm):
     rng = np.random.default_rng(9)
     f = bandlimited_field(g2, rng)

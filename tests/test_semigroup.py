@@ -263,7 +263,8 @@ def test_single_flight_cache_bounded_and_drops_failures():
     for key in "abc":
         assert cache.get(key, lambda key=key: key.upper()) == key.upper()
     assert len(cache) == 2
-    assert cache.get("a", lambda: "rebuilt") == "rebuilt"  # evicted first in
+    assert cache.get("a", lambda: "rebuilt") == "rebuilt"  # least recently used
+    assert cache.get("c", lambda: "rebuilt") == "C"
 
     def fail():
         raise RuntimeError("boom")
@@ -271,6 +272,43 @@ def test_single_flight_cache_bounded_and_drops_failures():
     with pytest.raises(RuntimeError, match="boom"):
         cache.get("x", fail)
     assert cache.get("x", lambda: "ok") == "ok"
+
+
+def test_dense_cache_holds_core_suite_keys():
+    # Dense keys of the core suite from THEOREM on: d = 1, 2, 3, then
+    # WEAK11 at n and 2n on d = 2, then VHALF at d = 1, 2, 3.
+    cache = semigroup.SingleFlightCache(limit=semigroup._DENSE_CACHE.limit)
+    builds = []
+    for key in ["catalog", "d1", "d2", "d3", "d2", "d2n32", "d1", "d2", "d3"]:
+        cache.get(key, lambda key=key: builds.append(key))
+    assert builds == ["catalog", "d1", "d2", "d3", "d2n32"]
+
+
+def test_pending_build_is_not_evicted():
+    cache = semigroup.SingleFlightCache(limit=2)
+    builds = []
+    started, release = threading.Event(), threading.Event()
+
+    def slow():
+        builds.append("slow")
+        started.set()
+        release.wait(timeout=5)
+        return "S"
+
+    results = []
+    owner = threading.Thread(target=lambda: results.append(cache.get("slow", slow)))
+    owner.start()
+    assert started.wait(timeout=5)
+    for key in "abcd":
+        cache.get(key, lambda key=key: builds.append(key) or key)
+    waiter = threading.Thread(target=lambda: results.append(cache.get("slow", slow)))
+    waiter.start()
+    time.sleep(0.05)
+    release.set()
+    owner.join(timeout=5)
+    waiter.join(timeout=5)
+    assert results == ["S", "S"]
+    assert builds == ["slow", "a", "b", "c", "d"]
 
 
 def test_dense_semigroup_is_splitting_limit(g1):
