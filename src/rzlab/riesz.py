@@ -57,8 +57,6 @@ def inv_sqrt_apply(
 ) -> Field:
     """L^(-1/2) f by the chosen backend."""
     if method == "dense":
-        if float(V.values.max()) == 0.0:
-            return spectral.apply_multiplier(f, spectral.inv_sqrt_laplacian())
         return Field(f.spec, inv_sqrt_apply_stack(f.spec, V, f.values[None])[0])
     if method == "quad":
         return fracpow.frac_power_apply(f, V, -0.5, quad, tau0=tau0)
