@@ -10,7 +10,7 @@ from .fracpow import (
     build_quadrature,
     dense_green,
     frac_power_apply,
-    green_mass,
+    green_mass_all,
     perturbation_kernel,
 )
 from .riesz import RieszResult, schrodinger_riesz, sqrt_potential_inv_sqrt
@@ -36,7 +36,7 @@ __all__ = [
     "build_quadrature",
     "frac_power_apply",
     "dense_green",
-    "green_mass",
+    "green_mass_all",
     "perturbation_kernel",
     "RieszResult",
     "schrodinger_riesz",

@@ -17,7 +17,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -65,42 +65,31 @@ def write_reports(reports: list[verify.CheckReport], out_dir: Path) -> tuple[Pat
     return csv_path, json_path
 
 
+# RunConfig fields whose flag is not --<field-with-dashes>
+_FLAG_NAMES = {"p_list": "p", "out_dir": "out"}
+
+
 def _load_config(args) -> verify.RunConfig:
-    cfg = verify.RunConfig()
-    if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text())
-        cfg = verify.RunConfig.from_dict(raw)
-    overrides = {}
-    for name in ("d", "n", "seed", "trials", "jobs", "fk_paths", "fk_slices"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    for name in ("R", "quad_tol", "tau0"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    if getattr(args, "potential", None):
-        overrides["potential"] = args.potential
-    if getattr(args, "p", None):
-        overrides["p_list"] = tuple(float(x) for x in args.p.split(","))
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    return replace(cfg, **overrides) if overrides else cfg
+    raw = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+    for f in fields(verify.RunConfig):
+        if getattr(args, f.name) is not None:
+            raw[f.name] = getattr(args, f.name)
+    return verify.RunConfig.from_dict(raw)
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
 
 
 def _add_config_flags(sub) -> None:
+    """One flag per RunConfig field, typed by the field's default."""
     sub.add_argument("--config", help="JSON config file (flat RunConfig schema)")
-    sub.add_argument("--d", type=int, help="dimension")
-    sub.add_argument("--n", type=int, help="samples per axis")
-    sub.add_argument("--R", type=float, help="box half-width")
-    sub.add_argument("--potential", help="potential tag, e.g. harmonic, const:2, ce1:0.25")
-    sub.add_argument("--p", help="comma-separated p values")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--trials", type=int, help="random trial fields per check")
-    sub.add_argument("--jobs", type=int, help="concurrent checks")
-    sub.add_argument("--quad-tol", dest="quad_tol", type=float, help="quadrature tolerance")
-    sub.add_argument("--tau0", type=float, help="subordination step size")
-    sub.add_argument("--out", help="output directory for reports")
+    for f in fields(verify.RunConfig):
+        kind = _float_list if isinstance(f.default, tuple) else type(f.default)
+        sub.add_argument(f"--{_FLAG_NAMES.get(f.name, f.name.replace('_', '-'))}",
+                         dest=f.name, type=kind, help=f"default: {f.default!r}")
 
 
 def _finish(reports: list[verify.CheckReport], cfg: verify.RunConfig) -> int:
@@ -117,13 +106,11 @@ def _finish(reports: list[verify.CheckReport], cfg: verify.RunConfig) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    return _finish(verify.run_suite(args.suite, cfg), cfg)
+    return _finish(verify.run_suite(args.suite, args.cfg), args.cfg)
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(args)
-    return _finish([verify.run_check(args.id, cfg)], cfg)
+    return _finish([verify.run_check(args.id, args.cfg)], args.cfg)
 
 
 def cmd_scan(args) -> int:
@@ -260,6 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "config"):  # verify and check run from a RunConfig
+        try:
+            args.cfg = _load_config(args)
+        except (ValueError, OSError) as exc:
+            print(f"rzlab: error: {exc}", file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

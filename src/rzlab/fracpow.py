@@ -157,14 +157,14 @@ def build_quadrature(
     )
 
 
-def spectral_bounds(grid: GridSpec, V: Field, use_dense: bool = True) -> tuple[float, float]:
+def spectral_bounds(grid: GridSpec, V: Field) -> tuple[float, float]:
     """Spectral range of L for quadrature sizing.
 
     Uses the dense oracle when the grid is under the cap, otherwise the
     bounds [crude gap estimate, |xi|^2_max + max V].
     """
     vmax = float(V.values.max())
-    if use_dense and grid.num_points <= semigroup.dense_cap():
+    if grid.num_points <= semigroup.dense_cap():
         lam = semigroup.dense_schrodinger(grid, V).eigenvalues
         if semigroup.zero_modes(lam).any():
             # V == 0: smallest nonzero mode of -Delta on mean-zero fields
@@ -273,15 +273,6 @@ def dense_green(grid: GridSpec, V: Field, power: float) -> np.ndarray:
     return dense_power(grid, V, power) / grid.cell_volume
 
 
-def green_mass(grid: GridSpec, V: Field, y) -> float:
-    """h^d-weighted mass of V against the Green kernel column at y.
-
-    ``y`` is a grid multi-index (tuple) or flat index.
-    """
-    yflat = grid.flat_index(y) if isinstance(y, tuple) else int(y)
-    return float(green_mass_all(grid, V)[yflat])
-
-
 def green_mass_all(grid: GridSpec, V: Field) -> np.ndarray:
     """Green mass at every grid point at once.
 
@@ -342,26 +333,6 @@ def half_power_factor(grid: GridSpec, V: Field) -> np.ndarray:
     inv_half = dense_power(grid, V, -0.5)
     s_half = semigroup.multiplier_matrix(grid, spectral.sqrt_laplacian())
     return s_half @ inv_half
-
-
-def export_kernel_rows(matrix: np.ndarray, grid: GridSpec, directory, rows) -> list:
-    """Write selected kernel-matrix rows as RZF1 fields for offline inspection.
-
-    Row i of an N x N kernel is the field y -> K(x_i, y); files are named
-    row<flat index>.rzf under ``directory``.
-    """
-    from pathlib import Path
-
-    from .grid import write_field
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i in rows:
-        path = directory / f"row{int(i):06d}.rzf"
-        write_field(Field(grid, matrix[int(i)].reshape(grid.shape)), path)
-        written.append(path)
-    return written
 
 
 def perturbation_kernel(grid: GridSpec, V: Field) -> PerturbationKernel:

@@ -50,10 +50,6 @@ class PotentialSpec:
         if self.tag == "custom" and np.any(self.field.values < 0):
             raise ValueError("custom potential must be nonnegative")
 
-    @property
-    def min_dimension(self) -> int:
-        return 2 if self.tag == "ce1" else 1
-
     def label(self) -> str:
         if self.tag == "const":
             return f"const({self.c:g})"

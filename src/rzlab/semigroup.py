@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable
@@ -344,13 +344,11 @@ def fk_kernel_estimate(
     slices: int = DEFAULT_BRIDGE_SLICES,
     cap: float = math.inf,
     chunk: int = 8192,
-    workers: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo kernel estimate k_t(x, y) ~ h_t(x-y) E[exp(-t <V>_bridge)].
 
     Paths are split into fixed-size chunks with per-chunk seeds derived
-    from (seed, chunk index); the result does not depend on the worker
-    count.  Returns (estimate, standard error).
+    from (seed, chunk index).  Returns (estimate, standard error).
     """
     if t <= 0:
         raise ValueError(f"time must be > 0, got {t}")
@@ -387,11 +385,7 @@ def fk_kernel_estimate(
     sizes = [chunk] * (paths // chunk)
     if paths % chunk:
         sizes.append(paths % chunk)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(run_chunk, range(len(sizes)), sizes))
-    else:
-        parts = [run_chunk(ci, cnt) for ci, cnt in enumerate(sizes)]
+    parts = [run_chunk(ci, cnt) for ci, cnt in enumerate(sizes)]
     sw = sum(p[0] for p in parts)
     sw2 = sum(p[1] for p in parts)
     mean = sw / paths

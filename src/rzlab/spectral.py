@@ -146,13 +146,6 @@ def apply_multiplier(f: Field, m: MultiplierSpec) -> Field:
     return Field(f.spec, np.ascontiguousarray(out.real))
 
 
-def heat_apply(f: Field, t: float) -> Field:
-    """Heat semigroup at time t (identity at t = 0)."""
-    if t < 0:
-        raise ValueError(f"heat time must be >= 0, got {t}")
-    return apply_multiplier(f, heat(t))
-
-
 def apply_symbol_stack(stack: np.ndarray, symbol: np.ndarray, d: int) -> np.ndarray:
     """Apply one symbol to a (..., n, ..., n) stack of real fields.
 

@@ -13,7 +13,6 @@ import json
 import math
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,6 +46,11 @@ SUITES = {
 }
 
 
+def _is_a(value, want: type) -> bool:
+    """isinstance for config values: an int passes as a float, a bool as nothing."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if want is float else want)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Flat, JSON-serializable run configuration.
@@ -68,8 +72,24 @@ class RunConfig:
     strang_tau: float = semigroup.DEFAULT_STEP_SIZE
     fk_paths: int = 20000
     fk_slices: int = 64
-    jobs: int = 1
     out_dir: str = "reports"
+
+    def __post_init__(self) -> None:
+        for f in self.__dataclass_fields__.values():
+            value, want = getattr(self, f.name), type(f.default)
+            if not _is_a(value, want):
+                raise ValueError(f"config {f.name} must be {want.__name__}, got {value!r}")
+        if not self.p_list or not all(_is_a(p, float) and p >= 1 for p in self.p_list):
+            raise ValueError(f"config p_list must hold numbers >= 1, got {self.p_list!r}")
+        for name, low in (("seed", 0), ("trials", 1), ("theorem_trials", 1),
+                          ("fk_paths", 1), ("fk_slices", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"config {name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("quad_tol", "tau0", "strang_tau"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"config {name} must be > 0, got {getattr(self, name)}")
+        self.grid()
+        parse_potential(self.potential)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -80,7 +100,7 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "p_list" in raw:
+        if isinstance(raw.get("p_list"), list):
             raw = dict(raw, p_list=tuple(raw["p_list"]))
         return cls(**raw)
 
@@ -221,10 +241,6 @@ def nonneg_trials(grid: GridSpec, rng: np.random.Generator, count: int) -> list[
     return fields
 
 
-def catalog_for(cfg: RunConfig, d: int, include_zero: bool = True) -> list[potentials.PotentialSpec]:
-    return potentials.standard_catalog(d, include_zero=include_zero)
-
-
 def _stack(fields: list[Field]) -> np.ndarray:
     return np.stack([f.values for f in fields])
 
@@ -337,7 +353,7 @@ def check_l2_contract(cfg: RunConfig) -> CheckReport:
     norms = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
     worst = -math.inf
     per = {}
-    for pot in catalog_for(cfg, grid.d):
+    for pot in potentials.standard_catalog(grid.d):
         V = potentials.discretize_potential(pot, grid)
         out = half_factor_apply_stack(grid, V, stack)
         ratios = np.linalg.norm(out.reshape(len(out), -1), axis=1) / norms
@@ -355,7 +371,7 @@ def check_l1_bound(cfg: RunConfig) -> CheckReport:
     grid = cfg.grid()
     worst = -math.inf
     per = {}
-    for pot in catalog_for(cfg, grid.d):
+    for pot in potentials.standard_catalog(grid.d):
         mean_zero = pot.tag == "zero"
         fields = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
         stack = _stack(fields)
@@ -383,7 +399,7 @@ def check_w_kernel(cfg: RunConfig) -> CheckReport:
     worst_neg = 0.0
     worst_mass = -math.inf
     per = {}
-    for pot in catalog_for(cfg, grid.d, include_zero=False):
+    for pot in potentials.standard_catalog(grid.d, include_zero=False):
         V = potentials.discretize_potential(pot, grid)
         W = fracpow.perturbation_kernel(grid, V)
         neg = W.min_entry / W.max_abs_entry
@@ -405,7 +421,7 @@ def check_interp(cfg: RunConfig) -> CheckReport:
     worst_margin = -math.inf
     worst_pair = None
     per = {}
-    for pot in catalog_for(cfg, grid.d):
+    for pot in potentials.standard_catalog(grid.d):
         mean_zero = pot.tag == "zero"
         fields = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
         stack = _stack(fields)
@@ -537,7 +553,7 @@ def check_weak11(cfg: RunConfig) -> CheckReport:
     """
     t0 = time.perf_counter()
     pot = parse_potential(cfg.potential)
-    d = min(cfg.d, 2) if cfg.d else 2
+    d = min(cfg.d, 2)
     widths = (1.0, 1.25, 1.5)
     centers = [np.resize([-1.0, 0.5], d), np.resize([0.5, -1.5], d), np.resize([1.5, 1.0], d)]
     ratios = {}
@@ -752,7 +768,7 @@ def check_quad_vs_dense(cfg: RunConfig) -> CheckReport:
         grid = GridSpec(d, n, cfg.R)
         fields = trial_family(grid, rng, 8, mean_zero=True, structured=False)
         stack = _stack(fields)
-        for pot in catalog_for(cfg, d):
+        for pot in potentials.standard_catalog(d):
             V = potentials.discretize_potential(pot, grid)
             srange = fracpow.spectral_bounds(grid, V)
             for power in fracpow.POWERS:
@@ -802,8 +818,4 @@ def run_suite(suite: str, cfg: RunConfig | None = None) -> list[CheckReport]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; know {sorted(SUITES)}")
     cfg = cfg or RunConfig()
-    ids = SUITES[suite]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            return list(ex.map(lambda cid: run_check(cid, cfg), ids))
-    return [run_check(cid, cfg) for cid in ids]
+    return [run_check(cid, cfg) for cid in SUITES[suite]]

@@ -1,10 +1,12 @@
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rzlab import cli
+from rzlab import cli, verify
 from rzlab.grid import Field, GridSpec, read_field, write_field
 
 
@@ -129,3 +131,66 @@ def test_verify_with_config_file(tmp_path):
     reports = json.loads((out / "reports.json").read_text())
     assert reports[0]["config"]["seed"] == 5
     assert reports[0]["config"]["trials"] == 8
+
+
+def _config_flags(command):
+    """Option string -> dest for one subcommand."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {s: a.dest for a in subs.choices[command]._actions for s in a.option_strings}
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_every_runconfig_field_is_a_flag(command):
+    flags = _config_flags(command)
+    renamed = {"p_list": "--p", "out_dir": "--out"}
+    for f in fields(verify.RunConfig):
+        flag = renamed.get(f.name, "--" + f.name.replace("_", "-"))
+        assert flags.get(flag) == f.name, flag
+    assert "--jobs" not in flags
+
+
+def test_new_flags_land_in_report_config(tmp_path):
+    out = tmp_path / "rep"
+    rc = run_cli(
+        "check", "COMPOSITION", "--d", "1", "--n", "16", "--strang-tau", "0.02",
+        "--fk-paths", "7", "--theorem-trials", "9", "--fk-slices", "5", "--out", str(out),
+    )
+    assert rc == 0
+    config = json.loads((out / "reports.json").read_text())[0]["config"]
+    assert (config["strang_tau"], config["fk_paths"]) == (0.02, 7)
+    assert (config["theorem_trials"], config["fk_slices"]) == (9, 5)
+    assert "jobs" not in config
+
+
+def test_flags_override_config_file(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"d": 1, "n": 32, "p_list": [3.0], "seed": 5}))
+    args = cli.build_parser().parse_args(
+        ["check", "INTERP", "--config", str(cfg_path), "--n", "16", "--p", "1.5,2"]
+    )
+    cfg = cli._load_config(args)
+    assert (cfg.d, cfg.n, cfg.p_list, cfg.seed) == (1, 16, (1.5, 2.0), 5)
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--n", "5"], None),
+    (["--trials", "0"], None),
+    (["--potential", "foo"], None),
+    ([], {"n": "16"}),
+    ([], {"jobs": 2}),
+    ([], "missing"),
+])
+def test_bad_settings_exit_2_with_one_line(flags, config, tmp_path, capsys):
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        if config != "missing":
+            cfg_path.write_text(json.dumps(config))
+        flags = [*flags, "--config", str(cfg_path)]
+    out = tmp_path / "rep"
+    rc = run_cli("check", "INTERP", "--d", "1", *flags, "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("rzlab: error: ")
+    assert "Traceback" not in err
+    assert not out.exists()

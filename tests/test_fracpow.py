@@ -150,10 +150,11 @@ def test_dense_green_constant_potential():
 def test_green_mass_zero_and_const():
     g = GridSpec(1, 32, 4.0)
     V0 = potentials.discretize_potential(potentials.zero(), g)
-    assert fracpow.green_mass(g, V0, (0,)) == 0.0
+    assert fracpow.green_mass_all(g, V0)[g.flat_index((0,))] == 0.0
     V = potentials.discretize_potential(potentials.const(2.0), g)
+    masses = fracpow.green_mass_all(g, V)
     for y in (0, 5, 17):
-        assert fracpow.green_mass(g, V, y) == pytest.approx(1.0, abs=1e-10)
+        assert masses[y] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_green_mass_random_potentials_bounded():
@@ -173,7 +174,6 @@ def test_green_mass_matches_materialized_kernel():
     want = (V.flat() @ G) * g.cell_volume
     got = fracpow.green_mass_all(g, V)
     np.testing.assert_allclose(got, want, rtol=1e-12)
-    assert fracpow.green_mass(g, V, (3, 5)) == pytest.approx(want[g.flat_index((3, 5))], rel=1e-12)
 
 
 def test_perturbation_kernel_zero_potential():
@@ -201,26 +201,15 @@ def test_perturbation_identity_reconstructs_factor():
     assert np.max(np.abs(recon - A)) <= 1e-10 * np.max(np.abs(A))
 
 
-def test_export_kernel_rows_roundtrip(tmp_path):
-    from rzlab.grid import read_field
-
-    g = GridSpec(1, 16, 2.0)
-    V = potentials.discretize_potential(potentials.const(1.0), g)
-    G = fracpow.dense_green(g, V, -1.0)
-    paths = fracpow.export_kernel_rows(G, g, tmp_path, rows=[0, 7])
-    assert len(paths) == 2
-    back = read_field(paths[1])
-    np.testing.assert_array_equal(back.values, G[7])
-
-
-def test_spectral_bounds_with_and_without_dense():
+def test_spectral_bounds_with_and_without_dense(monkeypatch):
     g = GridSpec(1, 32, 4.0)
     V = potentials.discretize_potential(potentials.harmonic(), g)
     lo, hi = fracpow.spectral_bounds(g, V)
     op = semigroup.dense_schrodinger(g, V)
     assert lo == pytest.approx(op.eigenvalues[0])
     assert hi == pytest.approx(op.eigenvalues[-1])
-    lo2, hi2 = fracpow.spectral_bounds(g, V, use_dense=False)
+    monkeypatch.setenv("RZLAB_DENSE_CAP", str(g.num_points - 1))
+    lo2, hi2 = fracpow.spectral_bounds(g, V)
     assert 0 < lo2 <= hi2
     assert hi2 >= op.eigenvalues[-1] * 0.99
 

@@ -20,7 +20,7 @@ def mode(g, k=1):
 def test_heat_on_single_mode(g1):
     f = mode(g1)
     t = 0.3
-    out = spectral.heat_apply(f, t)
+    out = spectral.apply_multiplier(f, spectral.heat(t))
     xi2 = (np.pi / g1.R) ** 2
     np.testing.assert_allclose(out.values, math.exp(-t * xi2) * f.values, atol=1e-12)
 
@@ -45,21 +45,22 @@ def test_mean_mode_convention(g1, m):
 def test_heat_identity_at_zero(g1):
     rng = np.random.default_rng(0)
     f = Field(g1, rng.standard_normal(g1.shape))
-    out = spectral.heat_apply(f, 0.0)
+    out = spectral.apply_multiplier(f, spectral.heat(0.0))
     np.testing.assert_allclose(out.values, f.values, atol=1e-13)
 
 
 def test_heat_rejects_negative_time(g1):
     f = mode(g1)
     with pytest.raises(ValueError):
-        spectral.heat_apply(f, -0.1)
+        spectral.apply_multiplier(f, spectral.heat(-0.1))
 
 
 def test_heat_semigroup_property(g1):
     rng = np.random.default_rng(1)
     f = Field(g1, rng.standard_normal(g1.shape))
-    once = spectral.heat_apply(f, 0.7)
-    twice = spectral.heat_apply(spectral.heat_apply(f, 0.3), 0.4)
+    once = spectral.apply_multiplier(f, spectral.heat(0.7))
+    half = spectral.apply_multiplier(f, spectral.heat(0.3))
+    twice = spectral.apply_multiplier(half, spectral.heat(0.4))
     np.testing.assert_allclose(twice.values, once.values, rtol=1e-12, atol=1e-14)
 
 
@@ -67,7 +68,7 @@ def test_heat_positivity_on_smooth_nonneg(g1):
     pts = g1.axis()
     f = Field(g1, np.exp(-((pts - 0.5) ** 2) / 0.5))
     for t in (0.1, 0.5, 1.0):
-        out = spectral.heat_apply(f, t)
+        out = spectral.apply_multiplier(f, spectral.heat(t))
         assert out.values.min() >= -1e-10 * f.values.max()
 
 
@@ -78,7 +79,7 @@ def test_heat_delta_matches_gaussian():
     vals = np.zeros(g.shape)
     i0 = g.nearest_index([0.0])
     vals[i0] = 1.0 / g.cell_volume
-    out = spectral.heat_apply(Field(g, vals), t)
+    out = spectral.apply_multiplier(Field(g, vals), spectral.heat(t))
     x = g.axis()
     pred = (4 * math.pi * t) ** -0.5 * np.exp(-(x**2) / (4 * t))
     sel = np.abs(x) <= 1.2

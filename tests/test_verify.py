@@ -1,9 +1,14 @@
 import json
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rzlab import verify
+from rzlab import semigroup, verify
 from rzlab.grid import GridSpec
 
 
@@ -107,16 +112,94 @@ def test_report_contains_config_and_measured():
     assert raw["verdict"] == "pass"
 
 
-def test_core_suite_reports_do_not_depend_on_jobs():
-    def body(reports):
-        out = []
-        for r in reports:
-            raw = r.to_dict(include_runtime=False)
-            raw["config"].pop("jobs")
-            out.append(raw)
-        return out
+def test_core_reports_do_not_depend_on_concurrent_callers(monkeypatch):
+    # Two callers on a cold dense cache race for the same operators.
+    def cold_cache():
+        limit = semigroup._DENSE_CACHE.limit
+        monkeypatch.setattr(semigroup, "_DENSE_CACHE", semigroup.SingleFlightCache(limit))
 
-    one = verify.run_suite("core", verify.RunConfig(jobs=1))
-    two = verify.run_suite("core", verify.RunConfig(jobs=2))
+    cfg = verify.RunConfig()
+    cold_cache()
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        two = list(ex.map(lambda cid: verify.run_check(cid, cfg), verify.CORE_CHECKS))
+    cold_cache()
+    one = verify.run_suite("core", cfg)
     assert [r.check_id for r in two] == list(verify.CORE_CHECKS)
-    assert body(two) == body(one)
+    assert [r.to_dict(include_runtime=False) for r in two] == [
+        r.to_dict(include_runtime=False) for r in one
+    ]
+
+
+def test_runconfig_validation_messages():
+    with pytest.raises(ValueError, match="config trials must be >= 1"):
+        verify.RunConfig(trials=0)
+    with pytest.raises(ValueError, match="config n must be int, got '16'"):
+        verify.RunConfig.from_dict({"n": "16"})
+    with pytest.raises(ValueError, match="config R must be float, got True"):
+        verify.RunConfig(R=True)
+    with pytest.raises(ValueError, match="n must be an even integer"):
+        verify.RunConfig(n=5)
+    with pytest.raises(ValueError, match="unknown potential"):
+        verify.RunConfig(potential="foo")
+    with pytest.raises(ValueError, match=r"unknown config keys: \['jobs'\]"):
+        verify.RunConfig.from_dict({"jobs": 2})
+    assert verify.RunConfig(R=4).R == 4  # an int is accepted where a float is expected
+
+
+POSITIVE_FLOATS = st.floats(1e-9, 1e3) | st.integers(1, 1000)
+
+VALID_CONFIGS = st.builds(
+    verify.RunConfig,
+    d=st.integers(1, 6),
+    n=st.integers(2, 64).map(lambda k: 2 * k),
+    R=POSITIVE_FLOATS,
+    potential=st.sampled_from(["zero", "const:2", "const:0.5", "harmonic", "ce1:0.25",
+                               "ce2:4", "ce3"]),
+    p_list=st.lists(st.floats(1.0, 1e3) | st.integers(1, 10), min_size=1, max_size=4).map(tuple),
+    seed=st.integers(0, 2**63),
+    trials=st.integers(1, 10**6),
+    theorem_trials=st.integers(1, 10**6),
+    quad_tol=POSITIVE_FLOATS,
+    tau0=POSITIVE_FLOATS,
+    strang_tau=POSITIVE_FLOATS,
+    fk_paths=st.integers(1, 10**9),
+    fk_slices=st.integers(1, 10**4),
+    out_dir=st.text(),
+)
+
+NUMERIC_FIELDS = ("d", "n", "R", "seed", "trials", "theorem_trials", "quad_tol", "tau0",
+                  "strang_tau", "fk_paths", "fk_slices")
+BAD_SETTINGS = st.one_of(
+    st.tuples(st.sampled_from([f.name for f in fields(verify.RunConfig)]),
+              st.sampled_from([None, True, b"16"])),
+    st.tuples(st.sampled_from(NUMERIC_FIELDS), st.just("16")),
+    st.tuples(st.sampled_from(["d", "n", "seed", "trials", "fk_paths"]), st.floats(1.0, 64.0)),
+    st.tuples(st.just("d"), st.integers(max_value=0)),
+    st.tuples(st.just("n"), st.integers(-8, 200).filter(lambda n: n < 4 or n % 2)),
+    st.tuples(st.just("R"), st.floats(max_value=0.0) | st.just(math.inf)),
+    st.tuples(st.just("seed"), st.integers(max_value=-1)),
+    st.tuples(st.sampled_from(["trials", "theorem_trials", "fk_paths", "fk_slices"]),
+              st.integers(max_value=0)),
+    st.tuples(st.sampled_from(["quad_tol", "tau0", "strang_tau"]),
+              st.floats(max_value=0.0) | st.just(math.nan)),
+    st.tuples(st.just("p_list"), st.just([])),
+    st.tuples(st.just("p_list"),
+              st.lists(st.floats(max_value=1.0, exclude_max=True) | st.just(math.nan),
+                       min_size=1, max_size=3)),
+    st.tuples(st.just("potential"), st.sampled_from(["foo", "", "ce1:2", "const:-1", "ce2:1"])),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=VALID_CONFIGS)
+def test_runconfig_json_roundtrip_property(cfg):
+    assert verify.RunConfig.from_dict(json.loads(cfg.to_json())) == cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=VALID_CONFIGS, bad=BAD_SETTINGS)
+def test_runconfig_rejects_out_of_range_property(cfg, bad):
+    name, value = bad
+    raw = dict(json.loads(cfg.to_json()), **{name: value})
+    with pytest.raises(ValueError):
+        verify.RunConfig.from_dict(raw)
