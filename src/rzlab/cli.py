@@ -83,6 +83,12 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+def _error(exc: Exception) -> int:
+    """Bad input: one line on stderr and exit status 2."""
+    print(f"rzlab: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _add_config_flags(sub) -> None:
     """One flag per RunConfig field, typed by the field's default."""
     sub.add_argument("--config", help="JSON config file (flat RunConfig schema)")
@@ -119,10 +125,11 @@ def cmd_scan(args) -> int:
         params["eps"] = args.eps
     if args.scan_p is not None:
         params["p"] = args.scan_p
-    deltas = None
-    if args.deltas:
-        deltas = np.array([float(x) for x in args.deltas.split(",")])
-    rep = divergence_scan(args.which, params, deltas)
+    try:
+        deltas = _float_list(args.deltas) if args.deltas else None
+        rep = divergence_scan(args.which, params, deltas)
+    except ValueError as exc:
+        return _error(exc)
     xname = "rho" if rep.kind == "ce3" else "delta"
     print(f"{rep.kind}: slope={rep.fit_slope:.6g} r2={rep.fit_r2:.6g} "
           f"expected={rep.expected_slope} verdict={rep.verdict}")
@@ -251,8 +258,7 @@ def main(argv=None) -> int:
         try:
             args.cfg = _load_config(args)
         except (ValueError, OSError) as exc:
-            print(f"rzlab: error: {exc}", file=sys.stderr)
-            return 2
+            return _error(exc)
     return args.fn(args)
 
 

@@ -30,7 +30,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import roots_legendre
 
 from . import potentials
-from .grid import Field, GridSpec, lp_norm
+from .grid import Field, GridSpec, nested_lp_norms
 
 
 def unit_ball_volume(k: int) -> float:
@@ -263,16 +263,20 @@ def ce1_scan(
     if deltas[0] >= 0.5:
         raise ValueError("deltas must stay below the outer radius 1/2")
 
-    x1, x2 = np.meshgrid(section.axis(), section.axis(), indexing="ij")
-    r = np.sqrt(x1**2 + x2**2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        profile = np.where(r > 0, np.abs(x1) * r ** (eps - 2.0), 0.0)
-    fld = Field(section, profile)
+    ax = section.axis()
+    ax2 = ax**2
+
+    def disk_rows(rows: slice):
+        x1 = ax[rows, None]
+        r = np.sqrt(ax2[rows, None] + ax2)
+        inside = r < 0.5
+        r = r[inside]
+        x1 = np.broadcast_to(x1, inside.shape)[inside]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return r, np.where(r > 0, np.abs(x1) * r ** (eps - 2.0), 0.0)
 
     slab = (2.0 * ambient_R) ** ((ambient_d - 2) / p)
-    values = np.array(
-        [slab * lp_norm(fld, p, (r > dl) & (r < 0.5)) for dl in deltas]
-    )
+    values = slab * nested_lp_norms(section, p, deltas, disk_rows)
     slope, intercept, r2 = _linear_fit(np.log(deltas), np.log(values))
     expected = eps - 1.0 + 2.0 / p
     admissible = eps < 1.0 - 2.0 / p
@@ -291,7 +295,7 @@ def ce1_scan(
         fit_r2=r2,
         expected_slope=expected if admissible else None,
         verdict=verdict,
-        extras={"eps": eps, "p": p, "admissible": admissible},
+        extras={"eps": eps, "p": p, "admissible": admissible, "section": section},
     )
 
 
@@ -336,10 +340,8 @@ def ce2_scan(
     )
     with np.errstate(divide="ignore"):
         density = np.where(np.abs(x) > 0, slice_vol / np.abs(x), 0.0)
-    fld = Field(profile, density)
-
-    values = np.array(
-        [lp_norm(fld, 1.0, np.abs(x) > dl) for dl in deltas]
+    values = nested_lp_norms(
+        profile, 1.0, deltas, lambda rows: (np.abs(x[rows]), density[rows])
     )
     slope, intercept, r2 = _linear_fit(np.log(1.0 / deltas), values)
     verdict = "pass" if r2 > r2_threshold else "inconclusive"

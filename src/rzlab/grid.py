@@ -150,6 +150,44 @@ def lp_norm(f: Field, p: float, region=None) -> float:
     return float((vals**p).sum() * f.spec.cell_volume) ** (1.0 / p)
 
 
+# Samples per block of nested_lp_norms: its memory stays a few arrays of
+# this size, whatever the grid size.
+_BLOCK_POINTS = 1 << 20
+
+
+def nested_lp_norms(spec: GridSpec, p: float, cutoffs, block) -> np.ndarray:
+    """Riemann-sum L^p norms over the nested regions {rho > c}, one per cutoff.
+
+    ``block(rows)`` returns ``(rho, values)`` for the samples whose axis-0
+    index lies in the slice ``rows``; a sample it leaves out lies in no
+    region.  ``cutoffs`` must be strictly decreasing.  Each sample is
+    binned once by the number of cutoffs it exceeds, and per-shell sums
+    accumulated from the outside in give every region, so the grid is
+    walked once, in row blocks, whatever the number of cutoffs.  Entry i
+    equals ``lp_norm(f, p, rho > cutoffs[i])`` up to summation order; an
+    empty region yields 0 with a warning.
+    """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    ascending = np.asarray(cutoffs, dtype=float)[::-1]
+    if not np.all(np.diff(ascending) > 0):
+        raise ValueError("cutoffs must be strictly decreasing")
+    k = ascending.size
+    mass = np.zeros(k + 1)
+    top = 0
+    rows = max(1, _BLOCK_POINTS // spec.n ** (spec.d - 1))
+    for start in range(0, spec.n, rows):
+        rho, vals = block(slice(start, start + rows))
+        # shell j holds the samples above exactly j cutoffs (strict >)
+        shell = np.searchsorted(ascending, np.ravel(rho), side="left")
+        mass += np.bincount(shell, np.abs(np.ravel(vals)) ** p, minlength=k + 1)
+        top = max(top, int(shell.max(initial=0)))
+    # region i (cutoffs[i]) is shells k - i .. k, empty unless a sample reached k - i
+    if top < k:
+        warnings.warn("lp_norm over an empty region", stacklevel=2)
+    return (np.cumsum(mass[::-1])[:-1] * spec.cell_volume) ** (1.0 / p)
+
+
 def weak_l1(f: Field) -> float:
     """Discrete Chebyshev functional sup_lambda lambda * |{|f| > lambda}|.
 

@@ -623,14 +623,17 @@ def check_ce1(cfg: RunConfig) -> CheckReport:
     control = counterexamples.ce1_scan(0.8, 4.0)
     measured["control_slope"] = control.fit_slope
     ok &= control.fit_slope >= -0.02
-    data = counterexamples.ce1_build(GridSpec(3, 32, 2.5), 0.25, 4.0)
+    residual_grid = GridSpec(3, 32, 2.5)
+    data = counterexamples.ce1_build(residual_grid, 0.25, 4.0)
     res = counterexamples.ce1_residual(data)
     measured["series_residual"] = res["relative"]
     measured["v_min"] = float(data.v.values.min())
     ok &= res["relative"] <= 1e-3 and data.v.values.min() >= 1.0
     verdict = "pass" if ok else "fail"
-    return _report("CE1", _cfg_note(cfg, lattice=lattice), measured,
-                   "slope_deviation", 0.0, worst_dev, 0.05, verdict, t0)
+    note = _cfg_note(cfg, lattice=lattice, section=asdict(control.extras["section"]),
+                     deltas=control.xs.tolist(), residual_grid=asdict(residual_grid))
+    return _report("CE1", note, measured, "slope_deviation", 0.0, worst_dev, 0.05,
+                   verdict, t0)
 
 
 def check_ce2(cfg: RunConfig) -> CheckReport:

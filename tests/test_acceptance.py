@@ -113,6 +113,9 @@ def test_criterion_09_counterexample_1():
         and abs(m["slope_eps0.25_p4"] - (-0.25)) <= 0.05
         and abs(m["slope_eps0.1_p3"] - (0.1 - 1 + 2 / 3)) <= 0.05
         and m["control_slope"] >= -0.02
+        and rep.config["section"] == {"d": 2, "n": 4096, "R": 0.5625}
+        and len(rep.config["deltas"]) == 9
+        and rep.config["residual_grid"] == {"d": 3, "n": 32, "R": 2.5}
     )
     _line(9, ok, f"slopes {m['slope_eps0.25_p4']:.4f} (want -0.25), "
                  f"{m['slope_eps0.1_p3']:.4f} (want {0.1 - 1 + 2 / 3:.4f}), "

@@ -59,6 +59,18 @@ def test_scan_ce3():
     assert run_cli("scan", "CE3") == 0
 
 
+@pytest.mark.parametrize("which, deltas", [
+    ("CE1", "0.1,0.2"),  # not decreasing
+    ("CE1", "0.1,abc"),  # not a number
+    ("CE2", "0.5,1e-9"),  # below 4h
+])
+def test_scan_bad_deltas_exit_2_with_one_line(which, deltas, capsys):
+    rc = run_cli("scan", which, "--deltas", deltas)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("rzlab: error: ")
+
+
 def test_kernel_fk_runs(capsys):
     rc = run_cli(
         "kernel", "--fk", "--potential", "const:2", "--x", "0", "--y", "0.25",

@@ -1,12 +1,18 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from rzlab import grid
 from rzlab.grid import (
     Field,
     GridSpec,
     lp_norm,
+    nested_lp_norms,
     read_field,
     sample,
     weak_l1,
@@ -105,17 +111,28 @@ def test_weak_l1_below_l1(seed):
     assert weak_l1(f) <= lp_norm(f, 1) * (1 + 1e-15)
 
 
-def test_rzf1_roundtrip_bit_exact(tmp_path):
-    g = GridSpec(2, 8, 3.0)
-    rng = np.random.default_rng(7)
-    f = Field(g, rng.standard_normal(g.shape))
+@st.composite
+def rzf1_fields(draw):
+    g = GridSpec(
+        draw(st.integers(1, 3)),
+        2 * draw(st.integers(2, 5)),
+        draw(st.floats(0.0, 1e300, exclude_min=True)),
+    )
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return Field(g, draw(arrays(np.float64, g.shape, elements=finite)))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(f=rzf1_fields())
+def test_rzf1_roundtrip_bit_exact(f, tmp_path):
     path = tmp_path / "f.rzf"
     write_field(f, path)
     f2 = read_field(path)
-    assert f2.spec == g
+    assert f2.spec == f.spec
     assert f2.values.tobytes() == f.values.tobytes()
     write_field(f2, tmp_path / "f2.rzf")
-    assert (tmp_path / "f.rzf").read_bytes() == (tmp_path / "f2.rzf").read_bytes()
+    assert path.read_bytes() == (tmp_path / "f2.rzf").read_bytes()
 
 
 def test_rzf1_rejects_bad_magic(tmp_path):
@@ -141,3 +158,56 @@ def test_field_shape_validation():
         Field(g, np.zeros(7))
     with pytest.raises(ValueError, match="non-finite"):
         Field(g, np.full(g.shape, np.nan))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    n=st.sampled_from([4, 6, 10, 16]),
+    p=st.floats(1.0, 8.0),
+    cuts=st.integers(1, 6),
+    block_points=st.integers(1, 64),
+    empty=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_nested_lp_norms_match_masked_lp_norm(d, n, p, cuts, block_points, empty, seed):
+    g = GridSpec(d, n, 1.5)
+    rng = np.random.default_rng(seed)
+    cutoffs = np.sort(rng.uniform(0.0, 1.0, cuts))[::-1]
+    if empty:
+        cutoffs[0] = 2.0  # above every rho: region 0 is empty
+    rho = rng.uniform(0.0, 1.0, g.shape)
+    # samples exactly on a cutoff lie outside its region (strict >)
+    on_cut = rng.random(g.shape) < 0.3
+    rho[on_cut] = rng.choice(cutoffs, on_cut.sum())
+    keep = rng.random(g.shape) < 0.8  # the block leaves the other samples out
+    f = Field(g, rng.standard_normal(g.shape))
+
+    with warnings.catch_warnings(record=True) as ref_warn:
+        warnings.simplefilter("always")
+        expected = [lp_norm(f, p, (rho > c) & keep) for c in cutoffs]
+    with mock.patch.object(grid, "_BLOCK_POINTS", block_points), \
+            warnings.catch_warnings(record=True) as got_warn:
+        warnings.simplefilter("always")
+        got = nested_lp_norms(
+            g, p, cutoffs, lambda rows: (rho[rows][keep[rows]], f.values[rows][keep[rows]])
+        )
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert bool(ref_warn) == bool(got_warn)
+    assert all("empty region" in str(w.message) for w in got_warn)
+    if empty:
+        assert got[0] == 0.0 and got_warn
+
+
+def test_nested_lp_norms_guards():
+    g = GridSpec(1, 4, 2.0)
+
+    def rows(s):
+        return np.arange(4.0)[s], np.ones(4)[s]
+
+    with pytest.raises(ValueError, match="decreasing"):
+        nested_lp_norms(g, 2.0, [0.5, 1.0], rows)
+    with pytest.raises(ValueError, match="p must be"):
+        nested_lp_norms(g, 0.5, [1.0, 0.5], rows)
+    # h = 1: rho = 0, 1, 2, 3 against cutoffs 2, 1 keeps 3 and then 2, 3
+    np.testing.assert_allclose(nested_lp_norms(g, 1.0, [2.0, 1.0], rows), [1.0, 2.0])
