@@ -119,12 +119,15 @@ def cmd_check(args) -> int:
     return _finish([verify.run_check(args.id, args.cfg)], args.cfg)
 
 
+# the parameters each scan reads
+_SCAN_PARAMS = {"CE1": ("eps", "p"), "CE2": ("p",), "CE3": ()}
+
+
 def cmd_scan(args) -> int:
-    params = {}
-    if args.eps is not None:
-        params["eps"] = args.eps
-    if args.scan_p is not None:
-        params["p"] = args.scan_p
+    params = {k: v for k, v in (("eps", args.eps), ("p", args.scan_p)) if v is not None}
+    unused = [k for k in params if k not in _SCAN_PARAMS[args.which]]
+    if unused:
+        return _error(ValueError(f"scan {args.which} takes no --{unused[0]}"))
     try:
         deltas = _float_list(args.deltas) if args.deltas else None
         rep = divergence_scan(args.which, params, deltas)

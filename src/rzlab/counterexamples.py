@@ -254,6 +254,10 @@ def ce1_scan(
     """
     if ambient_d < 3:
         raise ValueError("counterexample 1 lives in d >= 3")
+    if not math.isfinite(eps):
+        raise ValueError(f"CE1 exponent eps must be finite, got {eps}")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"CE1 needs a finite p >= 1, got {p}")
     if deltas is None:
         # The pure power law emerges only for delta well inside the outer
         # radius 1/2; larger deltas see the outer-boundary curvature.
@@ -329,6 +333,9 @@ def ce2_scan(
     """
     if ambient_d < 3:
         raise ValueError("counterexample 2 lives in d >= 3")
+    if not (math.isfinite(p) and p > 2):
+        # the rule of potentials.ce2
+        raise ValueError(f"CE2 needs a finite p > 2, got {p}")
     if deltas is None:
         deltas = 2.0 ** (-np.arange(3, 11, dtype=float))
     profile = GridSpec(1, profile_n, 1.0)

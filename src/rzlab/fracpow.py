@@ -189,6 +189,20 @@ def _mean_zero_required(V: Field, f: Field) -> None:
 DEFAULT_SUBORDINATION_STEP = 0.04
 
 
+def _node_coefficients(power: float, quad: TimeQuadrature) -> np.ndarray:
+    """c_i with sum_i c_i e^{-t_i lam} the quadrature's semigroup part."""
+    t, w = quad.nodes, quad.weights
+    if power == -0.5:
+        return w * C1 / np.sqrt(t)
+    if power == -1.0:
+        return w
+    return w * C2 * t**-1.5
+
+
+def _field_norms(stack: np.ndarray, spec: GridSpec) -> np.ndarray:
+    return np.linalg.norm(stack.reshape(-1, spec.num_points), axis=1)
+
+
 def subordinated_apply_stack(
     stack: np.ndarray,
     V: np.ndarray,
@@ -196,49 +210,60 @@ def subordinated_apply_stack(
     power: float,
     quad: TimeQuadrature,
     tau0: float = DEFAULT_SUBORDINATION_STEP,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature sum over semigroup applications on a field stack.
 
-    The semigroup state advances incrementally through the sorted nodes
-    at step size tau0, with a lockstep run at exactly half the steps per
-    increment; the two quadrature sums are Richardson-combined, which
-    cancels the second-order splitting error.  Nodes beyond the spectral
-    decay horizon contribute only their identity part.
+    The semigroup state advances incrementally through the sorted nodes,
+    with a lockstep run at exactly twice the steps per increment; the two
+    quadrature sums are Richardson-combined, which cancels the
+    second-order splitting error.  Nodes beyond the spectral decay horizon
+    contribute only their identity part.
+
+    The step size is controlled per increment: with r the smallest, over
+    the fields, of |sum so far| / (|state| * sum of the |c_j| still to
+    come), the increment steps at tau0 * max(1, r)^(1/4).  Once the summed
+    part dominates what the remaining nodes can add, their splitting error
+    matters proportionally less.  The first increment, and any stack with a
+    zero state, steps at tau0; the step sequence is deterministic in the
+    data.
+
+    Returns (result, estimate): estimate = (fine - coarse) / 3 is the
+    embedded estimate of the splitting error of the fine sum before
+    extrapolation.
     """
-    lam_min = quad.spectral_range[0]
-    t_cut = 37.0 / lam_min
+    t_cut = 37.0 / quad.spectral_range[0]
+    coefs = _node_coefficients(power, quad)
+    on = quad.nodes <= t_cut
+    remaining = np.cumsum(np.where(on, np.abs(coefs), 0.0)[::-1])[::-1]
     acc_c = np.zeros_like(stack)
     acc_f = np.zeros_like(stack)
     state_c = stack.copy()
     state_f = stack.copy()
     t_prev = 0.0
-    for t_i, w_i in zip(quad.nodes, quad.weights):
-        on = t_i <= t_cut
-        if on:
+    for t_i, c_i, on_i, rem_i in zip(quad.nodes, coefs, on, remaining):
+        if on_i:
             dt = t_i - t_prev
             if dt > 0:
-                steps = max(1, math.ceil(dt / tau0))
+                tau = tau0
+                if t_prev > 0:
+                    state_norms = _field_norms(state_f, spec)
+                    if state_norms.min() > 0:
+                        r = (_field_norms(acc_f, spec) / (state_norms * rem_i)).min()
+                        tau = tau0 * max(1.0, r) ** 0.25
+                steps = max(1, math.ceil(dt / tau))
                 state_c = semigroup.evolve_stack(state_c, V, spec, dt, steps)
                 state_f = semigroup.evolve_stack(state_f, V, spec, dt, 2 * steps)
                 t_prev = t_i
-        if power == -0.5:
-            if on:
-                coef = w_i * C1 / math.sqrt(t_i)
-                acc_c += coef * state_c
-                acc_f += coef * state_f
-        elif power == -1.0:
-            if on:
-                acc_c += w_i * state_c
-                acc_f += w_i * state_f
-        else:
-            coef = w_i * C2 * t_i**-1.5
-            if on:
-                acc_c += coef * (state_c - stack)
-                acc_f += coef * (state_f - stack)
+            if power == 0.5:
+                acc_c += c_i * (state_c - stack)
+                acc_f += c_i * (state_f - stack)
             else:
-                acc_c -= coef * stack
-                acc_f -= coef * stack
-    return (4.0 * acc_f - acc_c) / 3.0
+                acc_c += c_i * state_c
+                acc_f += c_i * state_f
+        elif power == 0.5:
+            acc_c -= c_i * stack
+            acc_f -= c_i * stack
+    return (4.0 * acc_f - acc_c) / 3.0, (acc_f - acc_c) / 3.0
 
 
 def frac_power_apply(
@@ -256,7 +281,7 @@ def frac_power_apply(
     _mean_zero_required(V, f)
     if quad is None:
         quad = build_quadrature(power, spectral_bounds(f.spec, V), tol=tol)
-    out = subordinated_apply_stack(
+    out, _ = subordinated_apply_stack(
         f.values[None], V.values, f.spec, power, quad, tau0=tau0
     )
     return Field(f.spec, out[0])
@@ -345,6 +370,8 @@ def perturbation_kernel(grid: GridSpec, V: Field) -> PerturbationKernel:
     if float(V.values.max()) == 0.0:
         n = grid.num_points
         return PerturbationKernel(grid, np.zeros((n, n)))
-    A = half_power_factor(grid, V)
-    W = (A - np.eye(grid.num_points)) / (C2 * grid.cell_volume)
+    W = half_power_factor(grid, V)
+    # in place: two fewer N x N temporaries at the check's memory peak
+    W[np.diag_indices_from(W)] -= 1.0
+    W /= C2 * grid.cell_volume
     return PerturbationKernel(grid, W)

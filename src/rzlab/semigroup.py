@@ -56,17 +56,32 @@ def _check_potential(V: Field, grid: GridSpec) -> None:
 def evolve_stack(
     stack: np.ndarray, V: np.ndarray, spec: GridSpec, t: float, steps: int
 ) -> np.ndarray:
-    """Strang splitting on a (..., grid shape) stack of real fields."""
+    """Strang splitting on a (..., grid shape) stack of real fields.
+
+    Adjacent potential half-steps are merged: one e^{-tau V/2} opens the
+    run, each step is a heat step followed by e^{-tau V}, and the last
+    step closes with e^{-tau V/2} instead.  The heat step is a real FFT
+    against the non-negative last-axis half of the (even) heat symbol.
+    """
+    # scipy's real FFT has less per-call overhead than numpy's on these small
+    # stacks (QUAD_VS_DENSE at seed 1: 10 s against 15 s on a 2-CPU box).  It
+    # is imported here because only the Strang route needs it, and importing
+    # it with the package would add about 0.1 s to every rzlab start.
+    import scipy.fft
+
     if t == 0.0:
         return stack.copy()
     tau = t / steps
     half = np.exp(-0.5 * tau * V)
-    heat_sym = spectral.heat(tau).symbol(spec)
-    u = stack
-    for _ in range(steps):
-        u = half * u
-        u = spectral.apply_symbol_stack(u, heat_sym, spec.d)
-        u = half * u
+    full = np.exp(-tau * V)
+    heat_sym = spectral.heat(tau).symbol(spec)[..., : spec.n // 2 + 1]
+    axes = tuple(range(stack.ndim - spec.d, stack.ndim))
+    u = half * stack
+    for i in range(steps):
+        spec_u = scipy.fft.rfftn(u, axes=axes)
+        spec_u *= heat_sym
+        u = scipy.fft.irfftn(spec_u, s=spec.shape, axes=axes)
+        u *= full if i < steps - 1 else half
     return u
 
 

@@ -149,7 +149,7 @@ def test_criterion_12_oracles_and_determinism():
     first = verify.run_suite("oracles", cfg)
     second = verify.run_suite("oracles", cfg)
     elapsed = time.perf_counter() - t0
-    ok = all(r.passed() for r in first)
+    ok = all(r.passed() for r in first) and elapsed < 120.0
     blob_a = json.dumps([r.to_dict(include_runtime=False) for r in first], sort_keys=True)
     blob_b = json.dumps([r.to_dict(include_runtime=False) for r in second], sort_keys=True)
     ok &= blob_a == blob_b

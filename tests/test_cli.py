@@ -71,6 +71,32 @@ def test_scan_bad_deltas_exit_2_with_one_line(which, deltas, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("rzlab: error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("CE2", "--p", "nan"),  # ce2_scan never reads the mass at p, so it must reject it
+    ("CE2", "--p", "2"),  # ce2 needs p > 2
+    ("CE2", "--p", "inf"),
+    ("CE1", "--eps", "nan"),
+    ("CE1", "--p", "0.5"),  # p < 1
+    ("CE1", "--p", "inf"),
+    ("CE2", "--eps", "0.25"),  # a flag the scan does not read
+    ("CE3", "--p", "4"),
+])
+def test_scan_bad_params_exit_2_with_one_line(argv, capsys):
+    rc = run_cli("scan", *argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("rzlab: error: ")
+    assert captured.out == ""
+
+
+def test_check_theorem_at_n4_drops_degenerate_fields(tmp_path):
+    out = tmp_path / "rep"
+    assert run_cli("check", "THEOREM", "--n", "4", "--out", str(out)) == 0
+    report = json.loads((out / "reports.json").read_text())[0]
+    # d = 3, n = 4: one structured indicator is empty and is left out
+    assert report["config"]["trials_by_d"] == {"1": 72, "2": 72, "3": 71}
+
+
 def test_kernel_fk_runs(capsys):
     rc = run_cli(
         "kernel", "--fk", "--potential", "const:2", "--x", "0", "--y", "0.25",

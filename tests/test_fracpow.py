@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from rzlab import fracpow, potentials, semigroup, spectral
+from rzlab import fracpow, potentials, semigroup, spectral, verify
 from rzlab.grid import Field, GridSpec
 
 
@@ -102,6 +102,42 @@ def test_frac_power_matches_dense_oracle(power):
     mat = fracpow.dense_power(g, V, power)
     ref = mat @ f.flat()
     assert np.linalg.norm(out.flat() - ref) <= 1e-4 * np.linalg.norm(ref)
+
+
+def test_step_controller_halves_the_strang_work(monkeypatch):
+    # The fixed-step loop made 15,576 Strang steps here (coarse + fine);
+    # the worst QUAD_VS_DENSE entry, d1 ce2(4) at power -1.
+    g = GridSpec(1, 32, 4.0)
+    V = potentials.discretize_potential(potentials.ce2(4.0), g)
+    fields = verify.trial_family(g, verify.rng_for(1, "QUAD_VS_DENSE"), 8, structured=False)
+    stack = np.stack([f.values for f in fields])
+    quad = fracpow.build_quadrature(-1.0, fracpow.spectral_bounds(g, V))
+    steps = []
+    evolve = semigroup.evolve_stack
+
+    def counting(stack, V, spec, t, n_steps):
+        steps.append(n_steps)
+        return evolve(stack, V, spec, t, n_steps)
+
+    monkeypatch.setattr(semigroup, "evolve_stack", counting)
+    got, est = fracpow.subordinated_apply_stack(stack, V.values, g, -1.0, quad)
+    ref = fracpow.dense_power_apply(g, V, -1.0, stack)
+    err = np.linalg.norm((got - ref).reshape(8, -1), axis=1) / np.linalg.norm(
+        ref.reshape(8, -1), axis=1
+    )
+    assert sum(steps) <= 15576 // 2
+    assert err.max() <= 1e-4
+    assert est.shape == stack.shape and np.all(np.isfinite(est))
+
+
+def test_embedded_estimate_vanishes_for_constant_potential():
+    # Strang is exact for constant V, so the fine and coarse sums agree.
+    g = GridSpec(1, 32, 4.0)
+    V = potentials.discretize_potential(potentials.const(2.0), g)
+    f = mean_zero_field(g, 3)
+    quad = fracpow.build_quadrature(-0.5, fracpow.spectral_bounds(g, V))
+    got, est = fracpow.subordinated_apply_stack(f.values[None], V.values, g, -0.5, quad)
+    assert np.linalg.norm(est) <= 1e-12 * np.linalg.norm(got)
 
 
 def test_dense_green_composition():
