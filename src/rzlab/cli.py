@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import semigroup, verify
+from . import potentials, semigroup, verify
 from .counterexamples import divergence_scan
 from .grid import Field, GridSpec, read_field, write_field
 
@@ -262,7 +262,10 @@ def main(argv=None) -> int:
             args.cfg = _load_config(args)
         except (ValueError, OSError) as exc:
             return _error(exc)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except potentials.GridMismatchError as exc:  # a custom: file on another grid
+        return _error(exc)
 
 
 if __name__ == "__main__":

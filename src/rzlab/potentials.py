@@ -28,6 +28,10 @@ class SingularPotentialError(ValueError):
     """Requested an exact evaluation on the singular set."""
 
 
+class GridMismatchError(ValueError):
+    """A custom potential's samples lie on another grid than the one asked for."""
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     tag: str
@@ -180,7 +184,9 @@ def discretize_potential(spec: PotentialSpec, grid: GridSpec, cap="auto") -> Fie
         raise ValueError("ce1 needs d >= 2")
     if spec.tag == "custom":
         if spec.field.spec != grid:
-            raise ValueError("custom potential grid does not match")
+            raise GridMismatchError(
+                f"custom potential is sampled on {spec.field.spec}, the check needs {grid}"
+            )
         return Field(grid, np.minimum(spec.field.values, cap_value))
     pts = np.stack(grid.mesh(), axis=-1)
     vals = eval_capped(spec, pts, cap_value)

@@ -160,6 +160,19 @@ def test_custom_potential_through_check(tmp_path):
     assert rc == 0
 
 
+def test_custom_potential_on_another_grid_exits_2_with_one_line(tmp_path, capsys):
+    g = GridSpec(1, 16, 4.0)
+    write_field(Field(g, np.ones(g.shape)), tmp_path / "V.rzf")
+    rc = run_cli(
+        "check", "COMPOSITION", "--d", "2", "--n", "16",
+        "--potential", f"custom:{tmp_path / 'V.rzf'}", "--out", str(tmp_path / "rep"),
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rzlab: error: ") and err.count("\n") == 1
+    assert "GridSpec(d=1, n=16, R=4.0)" in err and "GridSpec(d=2, n=16, R=4.0)" in err
+
+
 def test_verify_with_config_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"d": 1, "n": 16, "trials": 8, "seed": 5}))

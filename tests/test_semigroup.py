@@ -93,6 +93,27 @@ def test_fused_evolve_stack_matches_unfused_reference(d, n, steps, batch):
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8), (2, 64)])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_heat_step_matches_fft_heat_symbol(d, n, lead):
+    g = GridSpec(d, n, 4.0)
+    stack = np.random.default_rng(n + len(lead)).standard_normal((*lead, *g.shape))
+    got = semigroup.evolve_stack(stack, np.zeros(g.shape), g, 0.35, 3)
+    ref = spectral.apply_symbol_stack(stack, spectral.heat(0.35).symbol(g), d)
+    assert got.shape == stack.shape
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+@pytest.mark.parametrize("tau", [1e-4, 0.2, 5.0])
+def test_heat_step_matrix_is_symmetric_and_keeps_the_mean(n, tau):
+    g = GridSpec(1, n, 4.0)
+    # row i is e_i after one heat step, so the rows form H_tau itself
+    heat = semigroup.evolve_stack(np.eye(n), np.zeros(g.shape), g, tau, 1)
+    assert np.array_equal(heat, heat.T)
+    np.testing.assert_allclose(heat.sum(axis=0), 1.0, rtol=0, atol=1e-14)
+
+
 def test_strang_self_consistency_and_domination(g1):
     V = potentials.discretize_potential(potentials.harmonic(), g1)
     f = random_field(g1, 3, nonneg=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rzlab import spectral
 from rzlab.grid import Field, GridSpec
@@ -139,3 +141,68 @@ def test_multiplier_spec_validation():
         spectral.MultiplierSpec("lap", t=1.0)
     with pytest.raises(ValueError):
         spectral.MultiplierSpec("deriv")
+
+
+@st.composite
+def grids(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.sampled_from([4, 6, 8, 10, 16] if d < 3 else [4, 6, 8]))
+    return GridSpec(d, n, draw(st.floats(0.5, 8.0)))
+
+
+def random_values(g, seed, mean_zero=False, nyquist=True):
+    """Random real samples, optionally without the mean mode or the Nyquist planes."""
+    v = np.random.default_rng(seed).standard_normal(g.shape)
+    coef = np.fft.fftn(v)
+    if mean_zero:
+        coef[(0,) * g.d] = 0.0
+    if not nyquist:
+        for a in range(g.d):
+            np.moveaxis(coef, a, 0)[g.n // 2] = 0.0
+    return np.fft.ifftn(coef).real
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=grids(), seed=SEEDS, s=st.floats(0.0, 2.0), t=st.floats(0.0, 2.0))
+def test_heat_composition_property(g, seed, s, t):
+    f = Field(g, random_values(g, seed))
+    twice = spectral.apply_multiplier(spectral.apply_multiplier(f, spectral.heat(s)), spectral.heat(t))
+    once = spectral.apply_multiplier(f, spectral.heat(s + t))
+    np.testing.assert_allclose(twice.values, once.values, rtol=0, atol=1e-13 * np.abs(f.values).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=grids(), seed=SEEDS)
+def test_sqrt_lap_inverts_inv_sqrt_lap_property(g, seed):
+    f = Field(g, random_values(g, seed, mean_zero=True))
+    half = spectral.apply_multiplier(f, spectral.inv_sqrt_laplacian())
+    back = spectral.apply_multiplier(half, spectral.sqrt_laplacian())
+    np.testing.assert_allclose(back.values, f.values, rtol=0, atol=1e-12 * np.abs(f.values).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=grids(), seed=SEEDS)
+def test_riesz_squares_sum_to_minus_identity_property(g, seed):
+    f = Field(g, random_values(g, seed, mean_zero=True, nyquist=False))
+    total = np.zeros(g.shape)
+    for j in range(1, g.d + 1):
+        rj = spectral.riesz(j)
+        total += spectral.apply_multiplier(spectral.apply_multiplier(f, rj), rj).values
+    np.testing.assert_allclose(total, -f.values, rtol=0, atol=1e-12 * np.abs(f.values).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=grids(), seed=SEEDS, t=st.floats(0.0, 2.0))
+def test_real_input_gives_real_output_property(g, seed, t):
+    v = random_values(g, seed)
+    catalog = [spectral.heat(t), spectral.laplacian(), spectral.sqrt_laplacian(),
+               spectral.inv_sqrt_laplacian(), spectral.inv_laplacian()]
+    catalog += [m(j) for m in (spectral.derivative, spectral.riesz) for j in range(1, g.d + 1)]
+    for m in catalog:
+        full = np.fft.ifftn(np.fft.fftn(v) * m.symbol(g))
+        scale = max(np.abs(full.real).max(), np.abs(v).max())
+        assert np.abs(full.imag).max() <= 1e-13 * scale, m
+        spectral.apply_multiplier(Field(g, v), m)  # raises on a residue above 1e-10
