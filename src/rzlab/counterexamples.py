@@ -267,20 +267,23 @@ def ce1_scan(
     if deltas[0] >= 0.5:
         raise ValueError("deltas must stay below the outer radius 1/2")
 
-    ax = section.axis()
+    # The profile is even in x1 and x2, and k -> n - k mirrors the axis about
+    # k = n/2 (at 0; k = 0 lies outside the disk): walk the quadrant x1, x2 >= 0.
+    ax = section.axis()[section_n // 2 :]
     ax2 = ax**2
+    weight = np.where(ax > 0, 4.0, 2.0) ** (1.0 / p)  # multiplicity^(1/p) by x2, x1 > 0
 
     def disk_rows(rows: slice):
-        x1 = ax[rows, None]
         r = np.sqrt(ax2[rows, None] + ax2)
         inside = r < 0.5
         r = r[inside]
-        x1 = np.broadcast_to(x1, inside.shape)[inside]
+        x1 = (ax[rows, None] * weight)[inside]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return r, np.where(r > 0, np.abs(x1) * r ** (eps - 2.0), 0.0)
+            return r, np.where(r > 0, x1 * r ** (eps - 2.0), 0.0)
 
     slab = (2.0 * ambient_R) ** ((ambient_d - 2) / p)
-    values = slab * nested_lp_norms(section, p, deltas, disk_rows)
+    quadrant = GridSpec(2, section_n // 2, section.R / 2.0)  # same h; needs n/2 even
+    values = slab * nested_lp_norms(quadrant, p, deltas, disk_rows)
     slope, intercept, r2 = _linear_fit(np.log(deltas), np.log(values))
     expected = eps - 1.0 + 2.0 / p
     admissible = eps < 1.0 - 2.0 / p

@@ -299,14 +299,15 @@ def dense_green(grid: GridSpec, V: Field, power: float) -> np.ndarray:
 
 
 def green_mass_all(grid: GridSpec, V: Field) -> np.ndarray:
-    """Green mass at every grid point at once.
+    """Green mass at every grid point at once, as one linear solve.
 
     The Green kernel is symmetric, so the masses are L^(-1) V: the h^d of
-    the quadrature cancels the 1/h^d of the kernel scaling.
+    the quadrature cancels the 1/h^d of the kernel scaling.  V = 0 gives 0.
     """
+    semigroup._check_potential(V, grid)
     if float(V.values.max()) == 0.0:
         return np.zeros(grid.num_points)
-    return dense_power_apply(grid, V, -1.0, V.values[None])[0].ravel()
+    return np.linalg.solve(semigroup.schrodinger_matrix(grid, V.values), V.values.ravel())
 
 
 @dataclass(frozen=True, eq=False)

@@ -237,8 +237,12 @@ class SingleFlightCache:
         return len(self._entries)
 
 
-# THEOREM and VHALF ask for d = 1, 2, 3 in turn with WEAK11's finer d = 2
-# grid in between, so four entries keep every core-suite key resident.
+# Four entries keep THEOREM's and VHALF's keys resident: they ask for
+# d = 1, 2, 3 in turn with WEAK11's finer d = 2 grid in between.  They do not
+# hold the core suite's catalog: L2_CONTRACT, L1_BOUND and INTERP each cycle
+# the six d = 2 catalog keys, so the three non-separable order-256 operators
+# are factored three times each.  A limit that held them would also keep
+# W_KERNEL's order-1024 factors (8 MB each) alive under CE2's memory peak.
 _DENSE_CACHE = SingleFlightCache(limit=4)
 
 

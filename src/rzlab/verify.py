@@ -318,7 +318,8 @@ def check_domination(cfg: RunConfig) -> CheckReport:
             worst = max(worst, excess)
     tol = 1e-8
     verdict = "pass" if worst <= tol else "fail"
-    return _report("DOMINATION", _cfg_note(cfg, times=[0.1, 0.5, 1.0]), per,
+    note = _cfg_note(cfg, times=[0.1, 0.5, 1.0], catalog=[pot.label() for pot in pots])
+    return _report("DOMINATION", note, per,
                    "pointwise_excess", 0.0, worst, tol, verdict, t0)
 
 
@@ -342,18 +343,20 @@ def check_green_mass(cfg: RunConfig) -> CheckReport:
     t0 = time.perf_counter()
     rng = rng_for(cfg.seed, "GREEN_MASS")
     grid = cfg.grid()
-    V = potentials.discretize_potential(potentials.const(2.0), grid)
+    const, samples = potentials.const(2.0), 50
+    V = potentials.discretize_potential(const, grid)
     mass_const = fracpow.green_mass_all(grid, V)
     const_dev = float(np.max(np.abs(mass_const - 1.0)))
     worst = -math.inf
-    for _ in range(50):
+    for _ in range(samples):
         vals = rng.uniform(0.0, 5.0, grid.shape)
         Vr = Field(grid, vals)
         masses = fracpow.green_mass_all(grid, Vr)
         ys = rng.integers(0, grid.num_points, size=5)
         worst = max(worst, float(np.max(masses[ys])))
     ok = const_dev <= 1e-10 and worst <= 1.0 + 1e-8
-    return _report("GREEN_MASS", _cfg_note(cfg),
+    note = _cfg_note(cfg, catalog=[const.label(), f"{samples} uniform(0, 5) samples"])
+    return _report("GREEN_MASS", note,
                    {"const_equality_dev": const_dev, "random_max_mass": worst},
                    "green_mass", 1.0, worst, 1e-8, "pass" if ok else "fail", t0)
 
@@ -368,14 +371,16 @@ def check_l2_contract(cfg: RunConfig) -> CheckReport:
     norms = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
     worst = -math.inf
     per = {}
-    for pot in potentials.standard_catalog(grid.d):
+    catalog = potentials.standard_catalog(grid.d)
+    for pot in catalog:
         V = potentials.discretize_potential(pot, grid)
         out = half_factor_apply_stack(grid, V, stack)
         ratios = np.linalg.norm(out.reshape(len(out), -1), axis=1) / norms
         per[pot.label()] = float(ratios.max())
         worst = max(worst, per[pot.label()])
     verdict = "pass" if worst <= 1.0 + DENSE_TOL else "fail"
-    return _report("L2_CONTRACT", _cfg_note(cfg), per, "l2_ratio", 1.0,
+    note = _cfg_note(cfg, catalog=[pot.label() for pot in catalog])
+    return _report("L2_CONTRACT", note, per, "l2_ratio", 1.0,
                    worst, DENSE_TOL, verdict, t0)
 
 
@@ -386,7 +391,8 @@ def check_l1_bound(cfg: RunConfig) -> CheckReport:
     grid = cfg.grid()
     worst = -math.inf
     per = {}
-    for pot in potentials.standard_catalog(grid.d):
+    catalog = potentials.standard_catalog(grid.d)
+    for pot in catalog:
         mean_zero = pot.tag == "zero"
         fields = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
         stack = _stack(fields)
@@ -397,7 +403,8 @@ def check_l1_bound(cfg: RunConfig) -> CheckReport:
         per[pot.label()] = float((num / den).max())
         worst = max(worst, per[pot.label()])
     verdict = "pass" if worst <= 2.0 * (1.0 + DENSE_TOL) else "fail"
-    return _report("L1_BOUND", _cfg_note(cfg), per, "l1_ratio", 2.0,
+    note = _cfg_note(cfg, catalog=[pot.label() for pot in catalog])
+    return _report("L1_BOUND", note, per, "l1_ratio", 2.0,
                    worst, DENSE_TOL, verdict, t0)
 
 
@@ -414,7 +421,8 @@ def check_w_kernel(cfg: RunConfig) -> CheckReport:
     worst_neg = 0.0
     worst_mass = -math.inf
     per = {}
-    for pot in potentials.standard_catalog(grid.d, include_zero=False):
+    catalog = potentials.standard_catalog(grid.d, include_zero=False)
+    for pot in catalog:
         V = potentials.discretize_potential(pot, grid)
         W = fracpow.perturbation_kernel(grid, V)
         neg = W.min_entry / W.max_abs_entry
@@ -424,7 +432,8 @@ def check_w_kernel(cfg: RunConfig) -> CheckReport:
         worst_mass = max(worst_mass, W.max_column_mass)
         del W  # free the N x N kernel before the next one is built
     ok = worst_neg >= -1e-8 and worst_mass <= mass_bound + 1e-6
-    return _report("W_KERNEL", _cfg_note(cfg, n=grid.n), per, "column_mass",
+    note = _cfg_note(cfg, n=grid.n, catalog=[pot.label() for pot in catalog])
+    return _report("W_KERNEL", note, per, "column_mass",
                    mass_bound, worst_mass, 1e-6, "pass" if ok else "fail", t0)
 
 
@@ -437,7 +446,8 @@ def check_interp(cfg: RunConfig) -> CheckReport:
     worst_margin = -math.inf
     worst_pair = None
     per = {}
-    for pot in potentials.standard_catalog(grid.d):
+    catalog = potentials.standard_catalog(grid.d)
+    for pot in catalog:
         mean_zero = pot.tag == "zero"
         fields = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
         stack = _stack(fields)
@@ -455,7 +465,9 @@ def check_interp(cfg: RunConfig) -> CheckReport:
                 worst_pair = (pot.label(), p, ratio, bound)
     verdict = "pass" if worst_margin <= 1.0 + QUAD_TOL else "fail"
     label, p, ratio, bound = worst_pair
-    return _report("INTERP", _cfg_note(cfg, p_values=ps, worst=f"{label}@p={p:g}"),
+    note = _cfg_note(cfg, p_values=ps, worst=f"{label}@p={p:g}",
+                     catalog=[pot.label() for pot in catalog])
+    return _report("INTERP", note,
                    per, "interp_ratio", bound, ratio, QUAD_TOL, verdict, t0)
 
 
@@ -710,22 +722,18 @@ def gaussian_envelope_spotcheck(
     def h_free(tt: float, dist2: np.ndarray) -> np.ndarray:
         return (4.0 * math.pi * tt) ** (-grid.d / 2.0) * np.exp(-dist2 / (4.0 * tt))
 
-    # Separations are formed for a block of kernel rows at a time: the whole
-    # N x N x d array would set the counterexample suite's memory peak.
-    mults = (1.0, 1.25, 1.5, 2.0, 3.0)
-    upper_local, kmin, ratio_min = -math.inf, math.inf, [math.inf] * len(mults)
+    # Separation, region and envelopes depend only on the per-axis offset
+    # q = (i - j) mod n: form them once per q, at x = point q and y = point 0.
+    # The ratios are monotone in k, so each q's extreme k gives its extremes.
     pts = grid.points()
-    for lo in range(0, len(pts), 128):
-        delta = pts[lo : lo + 128, None, :] - pts[None, :, :]
-        delta = (delta + grid.R) % (2.0 * grid.R) - grid.R
-        region = np.max(np.abs(delta), axis=-1) <= region_fraction * grid.R
-        dist2 = (delta**2).sum(axis=-1)
-        k = kt[lo : lo + 128][region]
-        ht = h_free(t, dist2)[region]
-        upper_local = max(upper_local, float(np.max((k - ht) / ht)))
-        kmin = min(kmin, float(k.min()))
-        for i, mult in enumerate(mults):
-            ratio_min[i] = min(ratio_min[i], float((k / h_free(mult * t, dist2)[region]).min()))
+    delta = (pts - pts[0] + grid.R) % (2.0 * grid.R) - grid.R
+    cols = np.flatnonzero(np.max(np.abs(delta), axis=-1) <= region_fraction * grid.R)
+    dist2 = (delta[cols] ** 2).sum(axis=-1)
+    k = np.take_along_axis(kt, semigroup._offset_table(grid)[:, cols], axis=1)
+    k_lo, ht = k.min(axis=0), h_free(t, dist2)
+    upper_local = float(np.max((k.max(axis=0) - ht) / ht))
+    mults = (1.0, 1.25, 1.5, 2.0, 3.0)
+    ratio_min = [float((k_lo / h_free(mult * t, dist2)).min()) for mult in mults]
     best_c, best_ct = 0.0, t
     for mult, rmin in zip(mults, ratio_min):
         c = min(1.0, rmin)
@@ -735,7 +743,7 @@ def gaussian_envelope_spotcheck(
         "upper_excess_local": upper_local,
         "fitted_c": best_c,
         "fitted_ct_over_t": best_ct / t,
-        "kernel_min_in_region": kmin,
+        "kernel_min_in_region": float(k_lo.min()),
     }
 
 

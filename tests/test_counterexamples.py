@@ -5,7 +5,7 @@ import pytest
 
 from rzlab import counterexamples as ce
 from rzlab import potentials
-from rzlab.grid import GridSpec
+from rzlab.grid import GridSpec, nested_lp_norms
 
 
 def test_series_value_at_axis():
@@ -106,6 +106,39 @@ def test_ce1_scan_delta_guards():
         ce.ce1_scan(0.25, 4.0, deltas=np.array([0.1, 0.2]))
     with pytest.raises(ValueError, match="4h"):
         ce.ce1_scan(0.25, 4.0, deltas=np.array([0.1, 1e-6]), section_n=256)
+
+
+def _full_section_ce1(eps, p, deltas, section_n):
+    """CE1 scan values summed over the whole section, without the fold."""
+    section = GridSpec(2, section_n, 0.5625)
+    ax = section.axis()
+    ax2 = ax**2
+
+    def disk_rows(rows):
+        r = np.sqrt(ax2[rows, None] + ax2)
+        inside = r < 0.5
+        x1 = np.broadcast_to(ax[rows, None], inside.shape)[inside]
+        r = r[inside]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return r, np.where(r > 0, np.abs(x1) * r ** (eps - 2.0), 0.0)
+
+    return 5.0 ** (1.0 / p) * nested_lp_norms(section, p, deltas, disk_rows)
+
+
+@pytest.mark.parametrize("section_n", [256, 512])
+@pytest.mark.parametrize("eps,p", [(0.1, 3.0), (0.25, 4.0), (0.8, 4.0)])
+def test_ce1_scan_quadrant_matches_full_section(section_n, eps, p):
+    deltas = 2.0 ** np.linspace(-3, -5.5 if section_n == 256 else -6.5, 6)  # >= 4h
+    rep = ce.ce1_scan(eps, p, deltas, section_n=section_n)
+    want = _full_section_ce1(eps, p, deltas, section_n)
+    np.testing.assert_allclose(rep.values, want, rtol=1e-12, atol=0)
+    assert rep.extras["section"] == GridSpec(2, section_n, 0.5625)
+
+
+def test_ce1_scan_rejects_section_with_odd_half():
+    # the quadrant grid has n/2 points per axis, which must be even
+    with pytest.raises(ValueError, match="even integer >= 4, got 129$"):
+        ce.ce1_scan(0.25, 4.0, 2.0 ** np.linspace(-3, -5, 3), section_n=258)
 
 
 def test_ce2_scan_log_growth():

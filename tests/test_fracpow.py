@@ -212,6 +212,32 @@ def test_green_mass_matches_materialized_kernel():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "d,n,pot",
+    [(1, 32, potentials.harmonic()), (2, 8, potentials.ce3()), (2, 16, potentials.ce1(0.25))],
+)
+def test_green_mass_solve_matches_eigenbasis_inverse(d, n, pot):
+    g = GridSpec(d, n, 4.0)
+    V = potentials.discretize_potential(pot, g)
+    want = fracpow.dense_power_apply(g, V, -1.0, V.values[None])[0].ravel()
+    got = fracpow.green_mass_all(g, V)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_green_mass_rejects_bad_potential_and_large_grid(monkeypatch):
+    g = GridSpec(1, 16, 4.0)
+    neg = np.zeros(g.shape)
+    neg[3] = -1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        fracpow.green_mass_all(g, Field(g, neg))
+    V = potentials.discretize_potential(potentials.const(2.0), GridSpec(1, 32, 4.0))
+    with pytest.raises(ValueError, match="grid does not match"):
+        fracpow.green_mass_all(g, V)
+    monkeypatch.setenv("RZLAB_DENSE_CAP", str(g.num_points - 1))
+    with pytest.raises(semigroup.DenseCapError):
+        fracpow.green_mass_all(g, potentials.discretize_potential(potentials.const(2.0), g))
+
+
 def test_perturbation_kernel_zero_potential():
     g = GridSpec(1, 16, 2.0)
     V = potentials.discretize_potential(potentials.zero(), g)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rzlab import semigroup, verify
+from rzlab import potentials, semigroup, verify
 from rzlab.grid import GridSpec
 
 
@@ -98,6 +98,66 @@ def test_domination_check_small():
     assert rep.passed()
     assert rep.measured_value <= 1e-8
 
+
+CATALOG_NOTES = {
+    "DOMINATION": ["harmonic", "ce1(0.25)"],
+    "GREEN_MASS": ["const(2)", "50 uniform(0, 5) samples"],
+    "L2_CONTRACT": ["zero", "const(2)", "harmonic", "ce1(0.25)", "ce2(4)", "ce3"],
+    "L1_BOUND": ["zero", "const(2)", "harmonic", "ce1(0.25)", "ce2(4)", "ce3"],
+    "W_KERNEL": ["const(2)", "harmonic", "ce1(0.25)", "ce2(4)", "ce3"],
+    "INTERP": ["zero", "const(2)", "harmonic", "ce1(0.25)", "ce2(4)", "ce3"],
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(CATALOG_NOTES))
+def test_catalog_checks_name_the_potentials_they_ran(check_id):
+    # these checks ignore cfg.potential; the note says what ran instead
+    cfg = small_cfg(d=2, n=8, potential="ce3")
+    rep = verify.run_check(check_id, cfg)
+    assert rep.config["potential"] == "ce3"
+    assert rep.config["catalog"] == CATALOG_NOTES[check_id]
+    if check_id != "GREEN_MASS":  # the others report per catalog label
+        labels = {next(lbl for lbl in rep.config["catalog"] if k.startswith(lbl))
+                  for k in rep.measured}
+        assert labels == set(rep.config["catalog"])
+
+
+def _pairwise_envelope_reference(t, n, R, region_fraction=0.6):
+    """The spot check with explicit separations of every point pair."""
+    grid = GridSpec(3, n, R)
+    V = potentials.discretize_potential(potentials.ce2(4.0), grid)
+    op = semigroup.dense_schrodinger(grid, V)
+    kt = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam)) / grid.cell_volume
+
+    def h_free(tt, dist2):
+        return (4.0 * math.pi * tt) ** (-grid.d / 2.0) * np.exp(-dist2 / (4.0 * tt))
+
+    pts = grid.points()
+    delta = pts[:, None, :] - pts[None, :, :]
+    delta = (delta + grid.R) % (2.0 * grid.R) - grid.R
+    region = np.max(np.abs(delta), axis=-1) <= region_fraction * grid.R
+    dist2 = (delta**2).sum(axis=-1)
+    k = kt[region]
+    ht = h_free(t, dist2)[region]
+    best_c, best_ct = 0.0, t
+    for mult in (1.0, 1.25, 1.5, 2.0, 3.0):
+        c = min(1.0, float((k / h_free(mult * t, dist2)[region]).min()))
+        if c > best_c:
+            best_c, best_ct = c, mult * t
+    return {
+        "upper_excess_local": float(np.max((k - ht) / ht)),
+        "fitted_c": best_c,
+        "fitted_ct_over_t": best_ct / t,
+        "kernel_min_in_region": float(k.min()),
+    }
+
+
+@pytest.mark.parametrize("n,R", [(6, 1.5), (8, 2.5)])
+def test_gaussian_envelope_by_offset_equals_pairwise_reference(n, R):
+    # h is a binary fraction on these grids, so every pairwise separation is
+    # exact and the per-offset values must agree to the last bit
+    got = verify.gaussian_envelope_spotcheck(t=0.25, n=n, R=R)
+    assert got == _pairwise_envelope_reference(0.25, n, R)
 
 def test_suite_ordering_fixed():
     assert verify.SUITES["core"] == verify.CORE_CHECKS
