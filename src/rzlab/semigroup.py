@@ -8,13 +8,15 @@ Three independent realizations:
 * a dense-matrix route: L assembled from the spectral Laplacian (so that
   dense and transform paths share one discrete operator exactly) plus
   diag(V), with an eigendecomposition for matrix functions; a potential
-  whose samples are additively separable is factored per axis;
+  whose samples are additively separable is factored per axis, and one
+  even in each coordinate is factored as 2^d parity sectors;
 * a Feynman-Kac Monte Carlo estimate of the kernel k_t(x, y) over
   Brownian bridges, free-space and non-periodized.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -97,33 +99,51 @@ def strang_evolve(f: Field, V: Field, t: float, steps: int) -> Field:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Eigendecomposition of a grid operator, held as Kronecker factors.
+    """Eigendecomposition of a grid operator, held as factors.
 
-    ``factors`` holds one pair (lam_j, Q_j) per factor, and the operator is
-    the Kronecker sum of the Q_j diag(lam_j) Q_j^T.  A general operator has
-    one factor of order N = n^d; an operator that splits axis by axis has d
-    factors of order n.  Its eigenvalues are the sums of factor eigenvalues
-    and its eigenvectors the Kronecker products of factor eigenvectors, both
-    in row-major grid order (axis 0 slowest).
+    ``factors`` holds pairs (lam_j, Q_j).  Without ``sectors`` the operator
+    is the Kronecker sum of the Q_j diag(lam_j) Q_j^T: one factor of order
+    N = n^d for a general operator, d factors of order n for one that splits
+    axis by axis.  With ``sectors`` it is block diagonal in the parity basis
+    of :func:`_parity_basis` on every axis: factor j is the block on the flat
+    parity coordinates ``sectors[j]``.  Eigenvector rows follow row-major
+    grid order (axis 0 slowest); eigenvalues, with the eigenvector columns,
+    are ascending for sectors and in Kronecker order otherwise.
     """
 
     grid: GridSpec
     factors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    sectors: tuple[np.ndarray, ...] = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """Orders of the factors; their product is the number of grid points."""
+        """Orders of the Kronecker factors (product N), or (N,) for parity sectors."""
+        if self.sectors:
+            return (self.grid.num_points,)
         return tuple(len(lam) for lam, _ in self.factors)
 
     @property
+    def _spectrum(self) -> np.ndarray:
+        """All N eigenvalues in factor order: by sector, or as a Kronecker sum."""
+        lams = [lam for lam, _ in self.factors]
+        return np.concatenate(lams) if self.sectors else np.ravel(reduce(np.add.outer, lams))
+
+    @property
     def eigenvalues(self) -> np.ndarray:
-        """All N eigenvalues in Kronecker order (ascending only for one factor)."""
-        return np.ravel(reduce(np.add.outer, [lam for lam, _ in self.factors]))
+        """All N eigenvalues, ascending unless held as several Kronecker factors."""
+        return np.sort(self._spectrum) if self.sectors else self._spectrum
 
     @property
     def eigenvectors(self) -> np.ndarray:
         """The N x N eigenvector matrix, materialized from the factors."""
-        return reduce(np.kron, [q for _, q in self.factors])
+        if not self.sectors:
+            return reduce(np.kron, [q for _, q in self.factors])
+        N = self.grid.num_points
+        rows = np.zeros((N, N))
+        for u, pos, idx in _by_sector(self, np.arange(N)):
+            rows[np.ix_(pos, idx)] = u.T
+        rows = _contract(rows.reshape(N, *self.grid.shape), _bases(self), to_basis=False)
+        return rows.reshape(N, N)[np.argsort(self._spectrum, kind="stable")].T
 
 
 def _eigh_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,6 +216,55 @@ def _separable_parts(V: Field) -> list[np.ndarray] | None:
     return parts
 
 
+def _reflection_symmetric(V: Field) -> bool:
+    """Whether V matches its reflection k -> -k mod n along every axis.
+
+    The test is to SEPARABLE_RTOL max |V|: on a grid whose spacing is not
+    dyadic the sample points are mirror images only up to rounding.
+    """
+    vals, flip = V.values, -np.arange(V.spec.n) % V.spec.n
+    resid = max(np.max(np.abs(vals - np.take(vals, flip, axis=a))) for a in range(vals.ndim))
+    return float(resid) <= SEPARABLE_RTOL * float(np.max(np.abs(vals)))
+
+
+def _parity_basis(n: int) -> np.ndarray:
+    """Orthonormal n x n basis of even then odd vectors under k -> -k mod n.
+
+    Even columns c = 0..n/2 are e_0, (e_c + e_{n-c})/sqrt(2) and e_{n/2};
+    odd columns n/2 + c, c = 1..n/2-1, are (e_c - e_{n-c})/sqrt(2).  Column
+    c represents the orbit of sample c, or of c - n/2 when c > n/2.
+    """
+    h = n // 2
+    k = np.arange(1, h)
+    basis = np.zeros((n, n))
+    basis[[0, h], [0, h]] = 1.0
+    basis[k, k] = basis[n - k, k] = basis[k, h + k] = math.sqrt(0.5)
+    basis[n - k, h + k] = -math.sqrt(0.5)
+    return basis
+
+
+def _parity_sectors(grid: GridSpec, V: np.ndarray) -> tuple[tuple[np.ndarray, ...], list]:
+    """Flat parity coordinates and matrix of L on each sector in {even, odd}^d.
+
+    The 1-D Laplacian commutes with the reflection, so in the parity basis
+    it has an even and an odd block; a V invariant under every axis
+    reflection is constant on each orbit and stays diagonal.  Each sector
+    is the Kronecker sum of its axes' blocks plus diag(V) at the orbit
+    representatives (samples k <= n/2).
+    """
+    n, h = grid.n, grid.n // 2
+    basis = _parity_basis(n)
+    lap = basis.T @ schrodinger_matrix(GridSpec(1, n, grid.R), np.zeros(n)) @ basis
+    rep = np.r_[0 : h + 1, 1:h]
+    sectors, matrices = [], []
+    for axes in itertools.product((np.arange(h + 1), np.arange(h + 1, n)), repeat=grid.d):
+        kron_sum = reduce(lambda a, b: np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b),
+                          [lap[np.ix_(c, c)] for c in axes])
+        sectors.append(np.ravel_multi_index(np.ix_(*axes), grid.shape).ravel())
+        matrices.append(kron_sum + np.diag(V[np.ix_(*(rep[c] for c in axes))].ravel()))
+    return tuple(sectors), matrices
+
+
 class SingleFlightCache:
     """Bounded least-recently-used cache that builds each missing key once.
 
@@ -241,8 +310,8 @@ class SingleFlightCache:
 # d = 1, 2, 3 in turn with WEAK11's finer d = 2 grid in between.  They do not
 # hold the core suite's catalog: L2_CONTRACT, L1_BOUND and INTERP each cycle
 # the six d = 2 catalog keys, so the three non-separable order-256 operators
-# are factored three times each.  A limit that held them would also keep
-# W_KERNEL's order-1024 factors (8 MB each) alive under CE2's memory peak.
+# are factored three times each, as four parity sectors of order <= 81 that
+# take milliseconds.  W_KERNEL's sector factors take about 2 MB per operator.
 _DENSE_CACHE = SingleFlightCache(limit=4)
 
 
@@ -251,8 +320,11 @@ def dense_schrodinger(grid: GridSpec, V: Field) -> DenseOperator:
 
     When the samples of V are additively separable (zero, const, harmonic),
     L is the Kronecker sum of d one-dimensional operators and is factored
-    per axis by d eigendecompositions of order n; otherwise the assembled
-    N x N matrix is factored whole.  Decompositions are cached on (grid,
+    per axis by d eigendecompositions of order n.  Otherwise, when d >= 2
+    and V is even in each coordinate (ce1, ce2, ce3), L is block diagonal in
+    the parity basis and each of its 2^d sectors, of order at most
+    (n/2 + 1)^d, is factored alone.  Any other V has its assembled N x N
+    matrix factored whole.  Decompositions are cached on (grid,
     potential samples), and concurrent callers of one key share a single
     factorization: the d = 3 oracle at the cap takes seconds to factor.
     """
@@ -263,16 +335,19 @@ def dense_schrodinger(grid: GridSpec, V: Field) -> DenseOperator:
 
 def _factor(grid: GridSpec, V: Field) -> DenseOperator:
     parts = _separable_parts(V) if grid.d > 1 else None
-    if parts is None:
-        matrices = [schrodinger_matrix(grid, V.values)]
-    else:
+    sectors = ()
+    if parts is not None:
         line = GridSpec(1, grid.n, grid.R)
         matrices = [schrodinger_matrix(line, v) for v in parts]
+    elif grid.d > 1 and _reflection_symmetric(V):
+        sectors, matrices = _parity_sectors(grid, V.values)
+    else:
+        matrices = [schrodinger_matrix(grid, V.values)]
     factors = tuple(_eigh_symmetric(m) for m in matrices)
     for arrays in factors:
         for a in arrays:
             a.setflags(write=False)
-    return DenseOperator(grid, factors)
+    return DenseOperator(grid, factors, sectors)
 
 
 def zero_modes(lam: np.ndarray) -> np.ndarray:
@@ -289,7 +364,7 @@ def _spectral_values(
 ) -> np.ndarray:
     if zero_mode_rule not in ("zero", "apply"):
         raise ValueError(f"unknown zero-mode rule {zero_mode_rule!r}")
-    lam = op.eigenvalues
+    lam = op._spectrum
     zero_mask = zero_modes(lam)
     if zero_mode_rule == "zero":
         vals = np.zeros_like(lam)
@@ -302,13 +377,26 @@ def _spectral_values(
     return vals.reshape(op.shape)
 
 
-def _contract(x: np.ndarray, op: DenseOperator, to_basis: bool) -> np.ndarray:
-    """Q^T x (to_basis) or Q x over the trailing factor axes of x, one axis at a time."""
-    k = len(op.factors)
-    for a, (_, q) in enumerate(op.factors):
+def _bases(op: DenseOperator) -> list[np.ndarray]:
+    """Per-axis orthogonal matrices from the operator's coordinates to the grid."""
+    if op.sectors:
+        return [_parity_basis(op.grid.n)] * op.grid.d
+    return [q for _, q in op.factors]
+
+
+def _contract(x: np.ndarray, bases: list[np.ndarray], to_basis: bool) -> np.ndarray:
+    """B^T x (to_basis) or B x over the trailing axes of x, one axis per basis."""
+    k = len(bases)
+    for a, q in enumerate(bases):
         ax = x.ndim - k + a
         x = np.swapaxes(np.swapaxes(x, ax, -1) @ (q if to_basis else q.T), ax, -1)
     return x
+
+
+def _by_sector(op: DenseOperator, vals: np.ndarray):
+    """(U, its share of vals in spectrum order, parity coordinates) per sector."""
+    ends = np.cumsum([len(lam) for lam, _ in op.factors])
+    return zip((u for _, u in op.factors), np.split(vals, ends[:-1]), op.sectors)
 
 
 def matrix_function(
@@ -320,11 +408,19 @@ def matrix_function(
     phi there to 0 (negative powers of a singular operator on mean-zero
     fields), "apply" evaluates phi.  Only checks that measure the kernel
     itself need the matrix; :func:`apply_function` applies phi(L) to fields.
+    Parity sectors give phi block by block, mapped to the grid one axis at
+    a time.
     """
     vals = _spectral_values(op, phi, zero_mode_rule)
     N = op.grid.num_points
+    if op.sectors:
+        coef = np.zeros((N, N))
+        for u, v, idx in _by_sector(op, vals):
+            coef[np.ix_(idx, idx)] = (u * v) @ u.T
+        bases = _bases(op) * 2
+        return _contract(coef.reshape(op.grid.shape * 2), bases, to_basis=False).reshape(N, N)
     coef = (op.eigenvectors * vals.ravel()).reshape(N, *op.shape)
-    return _contract(coef, op, to_basis=False).reshape(N, N)
+    return _contract(coef, _bases(op), to_basis=False).reshape(N, N)
 
 
 def apply_function(
@@ -335,13 +431,22 @@ def apply_function(
 ) -> np.ndarray:
     """phi(L) applied to a (batch, *grid shape) stack: Q (phi(Lambda) (Q^T x)).
 
-    Contracts one factor at a time, so the N x N matrix of phi(L) is never
-    formed; ``zero_mode_rule`` is as in :func:`matrix_function`.
+    Contracts one factor or grid axis at a time, so the N x N matrix of
+    phi(L) is never formed; ``zero_mode_rule`` is as in :func:`matrix_function`.
     """
     vals = _spectral_values(op, phi, zero_mode_rule)
-    x = stack.reshape(len(stack), *op.shape)
-    out = _contract(_contract(x, op, to_basis=True) * vals, op, to_basis=False)
-    return out.reshape(stack.shape)
+    bases = _bases(op)
+    shape = (len(stack), *(len(q) for q in bases))
+    x = _contract(stack.reshape(shape), bases, to_basis=True)
+    if op.sectors:
+        x = x.reshape(len(stack), -1)
+        y = np.empty_like(x)
+        for u, v, idx in _by_sector(op, vals):
+            y[:, idx] = (x[:, idx] @ u * v) @ u.T
+        x = y.reshape(shape)
+    else:
+        x = x * vals
+    return _contract(x, bases, to_basis=False).reshape(stack.shape)
 
 
 def heat_kernel_free(x: np.ndarray, y: np.ndarray, t: float) -> float:

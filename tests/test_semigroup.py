@@ -259,10 +259,52 @@ def test_non_separable_potentials_take_one_factor(pot):
     np.testing.assert_allclose(op.eigenvalues, lam, rtol=0, atol=1e-12 * np.abs(lam).max())
 
 
-@pytest.mark.parametrize("pot", [potentials.harmonic(), potentials.ce3()], ids=["sep", "whole"])
+NON_SEPARABLE = [potentials.ce1(0.25), potentials.ce2(4.0), potentials.ce3()]
+
+
+@pytest.mark.parametrize("d,n,R", [(2, 8, 4.0), (2, 16, 2.5), (3, 6, 1.5), (3, 12, 2.5)])
+@pytest.mark.parametrize("pot", NON_SEPARABLE, ids=lambda p: p.label())
+def test_parity_sectors_match_assembled_eigh(d, n, R, pot):
+    # (3, 12, 2.5) is CE2's grid: h = 5/12 mirrors its samples only to rounding.
+    g = GridSpec(d, n, R)
+    V = potentials.discretize_potential(pot, g)
+    op = semigroup.dense_schrodinger(g, V)
+    assert len(op.sectors) == len(op.factors) == 2**d
+    mat = semigroup.schrodinger_matrix(g, V.values)
+    lam, q = np.linalg.eigh(mat)  # the assembled reference, as in _assembled_function
+    x = np.random.default_rng(d * n).standard_normal((3, *g.shape))
+    for phi in (lambda lam: np.exp(-0.3 * lam), lambda lam: lam**-0.5):
+        ref = (q * phi(lam)) @ q.T
+        got = semigroup.matrix_function(op, phi)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        applied = semigroup.apply_function(op, phi, x).reshape(3, -1)
+        want = x.reshape(3, -1) @ ref
+        assert np.linalg.norm(applied - want) <= 1e-12 * np.linalg.norm(want)
+    q = op.eigenvectors
+    assert np.max(np.abs((q * op.eigenvalues) @ q.T - mat)) <= 1e-12 * np.max(np.abs(mat))
+
+
+@pytest.mark.parametrize("case", ["uniform", "ce3_shifted"])
+def test_reflection_asymmetric_potential_takes_one_factor(case):
+    g = GridSpec(2, 8, 4.0)
+    if case == "uniform":
+        V = Field(g, np.random.default_rng(12).uniform(0.0, 3.0, g.shape))
+    else:  # ce3 moved by one cell is even about x = h, not about 0
+        V = potentials.discretize_potential(potentials.ce3(), g)
+        V = Field(g, np.roll(V.values, 1, axis=0))
+    op = semigroup.dense_schrodinger(g, V)
+    assert op.sectors == () and [len(lam) for lam, _ in op.factors] == [g.num_points]
+
+
+@pytest.mark.parametrize(
+    "pot", [potentials.harmonic(), potentials.ce3(), None], ids=["sep", "whole", "uniform"]
+)
 def test_apply_function_equals_matrix_function(pot):
     g = GridSpec(2, 8, 4.0)
-    V = potentials.discretize_potential(pot, g)
+    if pot is None:
+        V = Field(g, np.random.default_rng(12).uniform(0.0, 3.0, g.shape))
+    else:
+        V = potentials.discretize_potential(pot, g)
     op = semigroup.dense_schrodinger(g, V)
     x = np.random.default_rng(4).standard_normal((5, *g.shape))
     phi = lambda lam: lam**-0.5
