@@ -332,7 +332,8 @@ def ce2_scan(
 
     The transverse directions integrate to the exact slice volume, so the
     mass reduces to a 1D profile |x1|^(-1) * vol_{d-1}(slice); it must
-    grow linearly in ln(1/delta).
+    grow linearly in ln(1/delta).  p does not enter the mass, by
+    construction: the p-th power of |x1|^(-1/p) is |x1|^(-1) for every p.
     """
     if ambient_d < 3:
         raise ValueError("counterexample 2 lives in d >= 3")

@@ -14,10 +14,12 @@ a geometric u-grid give a rule whose scalar identity
 
 is verified at build time across the operator's spectral range.
 
-Dense companions: the Green-type kernels of L^(-1) and L^(-1/2) (entries
-scaled as integral kernels, so matrix . (values * h^d) applies the
-operator), the Green-mass functional, and the perturbation kernel W of
-sqrt(-Delta) L^(-1/2) = I + c2 * W.
+Dense companions, all through :func:`semigroup.apply_function`: the
+Green-type kernels of L^(-1) and L^(-1/2) (entries scaled as integral
+kernels, so matrix . (values * h^d) applies the operator), L^power on field
+stacks, and the summary of the perturbation kernel W of
+sqrt(-Delta) L^(-1/2) = I + c2 * W, formed a block of rows at a time.  The
+Green-mass functional is one linear solve.
 """
 
 from __future__ import annotations
@@ -310,28 +312,13 @@ def green_mass_all(grid: GridSpec, V: Field) -> np.ndarray:
     return np.linalg.solve(semigroup.schrodinger_matrix(grid, V.values), V.values.ravel())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PerturbationKernel:
-    """Kernel W with sqrt(-Delta) L^(-1/2) = I + c2 * W (kernel scaling)."""
+    """Extremes of W with sqrt(-Delta) L^(-1/2) = I + c2 * W (kernel scaling)."""
 
-    grid: GridSpec
-    matrix: np.ndarray
-
-    @property
-    def min_entry(self) -> float:
-        return float(self.matrix.min())
-
-    @property
-    def max_abs_entry(self) -> float:
-        return float(np.abs(self.matrix).max())
-
-    @property
-    def column_masses(self) -> np.ndarray:
-        return self.matrix.sum(axis=0) * self.grid.cell_volume
-
-    @property
-    def max_column_mass(self) -> float:
-        return float(self.column_masses.max())
+    min_entry: float
+    max_abs_entry: float
+    max_column_mass: float
 
 
 def _zero_mode_rule(V: Field) -> str:
@@ -354,25 +341,28 @@ def dense_power_apply(grid: GridSpec, V: Field, power: float, stack: np.ndarray)
     return semigroup.apply_function(op, lambda lam: lam**power, stack, _zero_mode_rule(V))
 
 
-def half_power_factor(grid: GridSpec, V: Field) -> np.ndarray:
-    """Dense matrix of sqrt(-Delta) L^(-1/2) acting on value vectors."""
-    inv_half = dense_power(grid, V, -0.5)
-    s_half = semigroup.multiplier_matrix(grid, spectral.sqrt_laplacian())
-    return s_half @ inv_half
-
-
 def perturbation_kernel(grid: GridSpec, V: Field) -> PerturbationKernel:
-    """Extract W from the operator identity A = I + c2 W.
+    """Extremes of W from the operator identity A = I + c2 W.
 
-    A is the dense matrix of sqrt(-Delta) L^(-1/2); the identity carries
-    the integral-kernel 1/h^d scaling.  Requires V not identically zero
-    (otherwise W = 0, returned directly).
+    A = sqrt(-Delta) L^(-1/2) carries the integral-kernel 1/h^d scaling.
+    Both factors are symmetric, so row j of A is L^(-1/2) applied to
+    column j of the sqrt(-Delta) circulant; W is read COLUMN_BLOCK rows at
+    a time, keeping its min entry, max |entry| and column sums, and is
+    never held whole.  V identically zero gives W = 0.
     """
     if float(V.values.max()) == 0.0:
-        n = grid.num_points
-        return PerturbationKernel(grid, np.zeros((n, n)))
-    W = half_power_factor(grid, V)
-    # in place: two fewer N x N temporaries at the check's memory peak
-    W[np.diag_indices_from(W)] -= 1.0
-    W /= C2 * grid.cell_volume
-    return PerturbationKernel(grid, W)
+        return PerturbationKernel(0.0, 0.0, 0.0)
+    col = semigroup._circulant_column(grid, spectral.sqrt_laplacian())
+    off = semigroup._offset_table(grid)
+    N = grid.num_points
+    lo, hi, mass = math.inf, 0.0, np.zeros(N)
+    for start in range(0, N, semigroup.COLUMN_BLOCK):
+        rows = np.arange(start, min(start + semigroup.COLUMN_BLOCK, N))
+        block = dense_power_apply(grid, V, -0.5, col[off[rows]].reshape(len(rows), *grid.shape))
+        block = block.reshape(len(rows), N)
+        block[np.arange(len(rows)), rows] -= 1.0
+        block /= C2 * grid.cell_volume
+        lo = min(lo, float(block.min()))
+        hi = max(hi, float(np.abs(block).max()))
+        mass += block.sum(axis=0)
+    return PerturbationKernel(lo, hi, float(mass.max() * grid.cell_volume))

@@ -6,9 +6,10 @@ Two algebraically equivalent routes are kept side by side:
 * factored: g = sqrt(-Delta) L^(-1/2) f first, then the classical Riesz
   multiplier per component.
 
-Both share one realization of L^(-1/2) (dense matrix function or
-subordination quadrature), so route disagreement isolates multiplier
-algebra from quadrature error.
+Both share one realization of L^(-1/2), the dense eigenbasis apply of
+:func:`inv_sqrt_apply_stack`, so route disagreement isolates multiplier
+algebra.  A subordinated L^(-1/2) f (:func:`fracpow.frac_power_apply`)
+enters through :func:`riesz_from_inv_sqrt`.
 """
 
 from __future__ import annotations
@@ -47,39 +48,19 @@ def inv_sqrt_apply_stack(grid: GridSpec, V: Field, stack: np.ndarray) -> np.ndar
     return fracpow.dense_power_apply(grid, V, -0.5, stack)
 
 
-def inv_sqrt_apply(
-    f: Field,
-    V: Field,
-    *,
-    method: str = "dense",
-    quad: fracpow.TimeQuadrature | None = None,
-    tau0: float = fracpow.DEFAULT_SUBORDINATION_STEP,
-) -> Field:
-    """L^(-1/2) f by the chosen backend."""
-    if method == "dense":
-        return Field(f.spec, inv_sqrt_apply_stack(f.spec, V, f.values[None])[0])
-    if method == "quad":
-        return fracpow.frac_power_apply(f, V, -0.5, quad, tau0=tau0)
-    raise ValueError(f"unknown method {method!r}")
+def inv_sqrt_apply(f: Field, V: Field) -> Field:
+    """Dense L^(-1/2) f."""
+    return Field(f.spec, inv_sqrt_apply_stack(f.spec, V, f.values[None])[0])
 
 
 ROUTES = ("direct", "factored")
 
 
-def schrodinger_riesz(
-    f: Field,
-    V: Field,
-    *,
-    route: str = "factored",
-    method: str = "dense",
-    quad: fracpow.TimeQuadrature | None = None,
-    tau0: float = fracpow.DEFAULT_SUBORDINATION_STEP,
-) -> RieszResult:
+def schrodinger_riesz(f: Field, V: Field, *, route: str = "factored") -> RieszResult:
     """All d Riesz components of f with their pointwise l2 magnitude."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    half = inv_sqrt_apply(f, V, method=method, quad=quad, tau0=tau0)
-    return riesz_from_inv_sqrt(half, route=route)
+    return riesz_from_inv_sqrt(inv_sqrt_apply(f, V), route=route)
 
 
 def riesz_from_inv_sqrt(half: Field, *, route: str = "factored") -> RieszResult:
@@ -110,17 +91,9 @@ def classical_riesz(f: Field) -> RieszResult:
     return RieszResult(components=comps, magnitude=_magnitude(comps), route="classical")
 
 
-def sqrt_potential_inv_sqrt(
-    f: Field,
-    V: Field,
-    *,
-    method: str = "dense",
-    quad: fracpow.TimeQuadrature | None = None,
-    tau0: float = fracpow.DEFAULT_SUBORDINATION_STEP,
-) -> Field:
+def sqrt_potential_inv_sqrt(f: Field, V: Field) -> Field:
     """Pointwise sqrt(V) times L^(-1/2) f."""
-    half = inv_sqrt_apply(f, V, method=method, quad=quad, tau0=tau0)
-    return Field(f.spec, np.sqrt(V.values) * half.values)
+    return Field(f.spec, np.sqrt(V.values) * inv_sqrt_apply(f, V).values)
 
 
 def vector_ratio(result: RieszResult, f: Field, p: float) -> float:

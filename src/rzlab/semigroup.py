@@ -7,9 +7,11 @@ Three independent realizations:
   constant V; the heat flow is applied as one n x n circulant per axis;
 * a dense-matrix route: L assembled from the spectral Laplacian (so that
   dense and transform paths share one discrete operator exactly) plus
-  diag(V), with an eigendecomposition for matrix functions; a potential
-  whose samples are additively separable is factored per axis, and one
-  even in each coordinate is factored as 2^d parity sectors;
+  diag(V), with an eigendecomposition; a potential whose samples are
+  additively separable is factored per axis, and one even in each
+  coordinate is factored as 2^d parity sectors.  :func:`apply_function` is
+  the one map of phi(Lambda) back to the grid: kernels are read as phi(L)
+  applied to blocks of unit fields (:func:`matrix_function`);
 * a Feynman-Kac Monte Carlo estimate of the kernel k_t(x, y) over
   Brownian bridges, free-space and non-periodized.
 """
@@ -33,6 +35,9 @@ from .grid import Field, GridSpec
 DEFAULT_DENSE_CAP = 4096
 DEFAULT_STEP_SIZE = 0.01
 DEFAULT_BRIDGE_SLICES = 64
+# Unit fields per apply_function call when a whole N x N kernel is scanned
+# (W_KERNEL, CE2): the kernel is read COLUMN_BLOCK columns at a time.
+COLUMN_BLOCK = 256
 
 
 class DenseCapError(ValueError):
@@ -107,8 +112,8 @@ class DenseOperator:
     axis by axis.  With ``sectors`` it is block diagonal in the parity basis
     of :func:`_parity_basis` on every axis: factor j is the block on the flat
     parity coordinates ``sectors[j]``.  Eigenvector rows follow row-major
-    grid order (axis 0 slowest); eigenvalues, with the eigenvector columns,
-    are ascending for sectors and in Kronecker order otherwise.
+    grid order (axis 0 slowest); the N x N eigenvector matrix is never
+    formed.
     """
 
     grid: GridSpec
@@ -133,18 +138,6 @@ class DenseOperator:
         """All N eigenvalues, ascending unless held as several Kronecker factors."""
         return np.sort(self._spectrum) if self.sectors else self._spectrum
 
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """The N x N eigenvector matrix, materialized from the factors."""
-        if not self.sectors:
-            return reduce(np.kron, [q for _, q in self.factors])
-        N = self.grid.num_points
-        rows = np.zeros((N, N))
-        for u, pos, idx in _by_sector(self, np.arange(N)):
-            rows[np.ix_(pos, idx)] = u.T
-        rows = _contract(rows.reshape(N, *self.grid.shape), _bases(self), to_basis=False)
-        return rows.reshape(N, N)[np.argsort(self._spectrum, kind="stable")].T
-
 
 def _eigh_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = float(np.max(np.abs(matrix))) or 1.0
@@ -164,13 +157,20 @@ def _check_dense_cap(grid: GridSpec) -> None:
 def multiplier_matrix(grid: GridSpec, m: spectral.MultiplierSpec) -> np.ndarray:
     """Dense matrix of a catalog multiplier (circulant from its delta response)."""
     _check_dense_cap(grid)
+    return _circulant_column(grid, m)[_offset_table(grid)]
+
+
+def _circulant_column(grid: GridSpec, m: spectral.MultiplierSpec) -> np.ndarray:
+    """Flat delta response c of a multiplier, symmetrized: c[k] = c[-k mod n].
+
+    ``c[_offset_table(grid)[rows]]`` gathers those rows (equally, columns) of
+    the symmetric circulant matrix of m.
+    """
     delta = np.zeros(grid.shape)
     delta[(0,) * grid.d] = 1.0
-    col = spectral.apply_symbol_stack(delta, m.symbol(grid), grid.d).ravel()
-    mat = col[_offset_table(grid)]
-    mat += mat.T.copy()
-    mat *= 0.5
-    return mat
+    col = spectral.apply_symbol_stack(delta, m.symbol(grid), grid.d)
+    axes = tuple(range(grid.d))
+    return (0.5 * (col + np.roll(np.flip(col, axes), 1, axes))).ravel()
 
 
 @lru_cache(maxsize=2)
@@ -399,30 +399,6 @@ def _by_sector(op: DenseOperator, vals: np.ndarray):
     return zip((u for _, u in op.factors), np.split(vals, ends[:-1]), op.sectors)
 
 
-def matrix_function(
-    op: DenseOperator, phi: Callable[[np.ndarray], np.ndarray], zero_mode_rule: str = "apply"
-) -> np.ndarray:
-    """phi of the operator as an N x N matrix: Q phi(Lambda) Q^T.
-
-    ``zero_mode_rule`` controls (near-)zero eigenvalues: "zero" forces
-    phi there to 0 (negative powers of a singular operator on mean-zero
-    fields), "apply" evaluates phi.  Only checks that measure the kernel
-    itself need the matrix; :func:`apply_function` applies phi(L) to fields.
-    Parity sectors give phi block by block, mapped to the grid one axis at
-    a time.
-    """
-    vals = _spectral_values(op, phi, zero_mode_rule)
-    N = op.grid.num_points
-    if op.sectors:
-        coef = np.zeros((N, N))
-        for u, v, idx in _by_sector(op, vals):
-            coef[np.ix_(idx, idx)] = (u * v) @ u.T
-        bases = _bases(op) * 2
-        return _contract(coef.reshape(op.grid.shape * 2), bases, to_basis=False).reshape(N, N)
-    coef = (op.eigenvectors * vals.ravel()).reshape(N, *op.shape)
-    return _contract(coef, _bases(op), to_basis=False).reshape(N, N)
-
-
 def apply_function(
     op: DenseOperator,
     phi: Callable[[np.ndarray], np.ndarray],
@@ -432,7 +408,10 @@ def apply_function(
     """phi(L) applied to a (batch, *grid shape) stack: Q (phi(Lambda) (Q^T x)).
 
     Contracts one factor or grid axis at a time, so the N x N matrix of
-    phi(L) is never formed; ``zero_mode_rule`` is as in :func:`matrix_function`.
+    phi(L) is never formed; parity sectors are applied block by block in
+    parity coordinates.  ``zero_mode_rule`` controls (near-)zero
+    eigenvalues: "zero" forces phi there to 0 (negative powers of a
+    singular operator on mean-zero fields), "apply" evaluates phi.
     """
     vals = _spectral_values(op, phi, zero_mode_rule)
     bases = _bases(op)
@@ -447,6 +426,26 @@ def apply_function(
     else:
         x = x * vals
     return _contract(x, bases, to_basis=False).reshape(stack.shape)
+
+
+def matrix_function(
+    op: DenseOperator,
+    phi: Callable[[np.ndarray], np.ndarray],
+    zero_mode_rule: str = "apply",
+    cols: int | list[int] | np.ndarray | None = None,
+) -> np.ndarray:
+    """Columns ``cols`` (all N by default) of phi(L) as an N x len(cols) matrix.
+
+    Column j is :func:`apply_function` of the unit field at flat index j;
+    ``cols`` may be one index or a sequence in any order.  A check that
+    scans a large kernel reads it in blocks of :data:`COLUMN_BLOCK`.
+    """
+    N = op.grid.num_points
+    idx = np.arange(N) if cols is None else np.atleast_1d(cols)
+    unit = np.zeros((len(idx), N))
+    unit[np.arange(len(idx)), idx] = 1.0
+    out = apply_function(op, phi, unit.reshape(len(idx), *op.grid.shape), zero_mode_rule)
+    return out.reshape(len(idx), N).T
 
 
 def heat_kernel_free(x: np.ndarray, y: np.ndarray, t: float) -> float:

@@ -430,7 +430,6 @@ def check_w_kernel(cfg: RunConfig) -> CheckReport:
         per[f"{pot.label()}_colmass"] = W.max_column_mass
         worst_neg = min(worst_neg, neg)
         worst_mass = max(worst_mass, W.max_column_mass)
-        del W  # free the N x N kernel before the next one is built
     ok = worst_neg >= -1e-8 and worst_mass <= mass_bound + 1e-6
     note = _cfg_note(cfg, n=grid.n, catalog=[pot.label() for pot in catalog])
     return _report("W_KERNEL", note, per, "column_mass",
@@ -605,7 +604,7 @@ def check_weak11(cfg: RunConfig) -> CheckReport:
             for c in centers:
                 v = np.exp(-(((pts - c) ** 2).sum(axis=-1)) / (2 * sig**2))
                 f = Field(grid, v)
-                res = riesz.schrodinger_riesz(f, V, route="factored", method="dense")
+                res = riesz.schrodinger_riesz(f, V, route="factored")
                 vals.append(weak_l1(res.components[0]) / lp_norm(f, 1.0))
         ratios[n] = vals
     rel = [
@@ -717,7 +716,6 @@ def gaussian_envelope_spotcheck(
     grid = GridSpec(3, n, R)
     V = potentials.discretize_potential(potentials.ce2(4.0), grid)
     op = semigroup.dense_schrodinger(grid, V)
-    kt = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam)) / grid.cell_volume
 
     def h_free(tt: float, dist2: np.ndarray) -> np.ndarray:
         return (4.0 * math.pi * tt) ** (-grid.d / 2.0) * np.exp(-dist2 / (4.0 * tt))
@@ -725,13 +723,21 @@ def gaussian_envelope_spotcheck(
     # Separation, region and envelopes depend only on the per-axis offset
     # q = (i - j) mod n: form them once per q, at x = point q and y = point 0.
     # The ratios are monotone in k, so each q's extreme k gives its extremes.
+    # Row i of the symmetric k_t is its column i, read a block at a time.
     pts = grid.points()
     delta = (pts - pts[0] + grid.R) % (2.0 * grid.R) - grid.R
     cols = np.flatnonzero(np.max(np.abs(delta), axis=-1) <= region_fraction * grid.R)
     dist2 = (delta[cols] ** 2).sum(axis=-1)
-    k = np.take_along_axis(kt, semigroup._offset_table(grid)[:, cols], axis=1)
-    k_lo, ht = k.min(axis=0), h_free(t, dist2)
-    upper_local = float(np.max((k.max(axis=0) - ht) / ht))
+    off = semigroup._offset_table(grid)
+    k_lo, k_hi = np.full(len(cols), np.inf), np.full(len(cols), -np.inf)
+    for start in range(0, grid.num_points, semigroup.COLUMN_BLOCK):
+        block = np.arange(start, min(start + semigroup.COLUMN_BLOCK, grid.num_points))
+        kt = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam), cols=block)
+        k = np.take_along_axis(kt.T, off[block][:, cols], axis=1)
+        k_lo, k_hi = np.minimum(k_lo, k.min(axis=0)), np.maximum(k_hi, k.max(axis=0))
+    k_lo, k_hi = k_lo / grid.cell_volume, k_hi / grid.cell_volume
+    ht = h_free(t, dist2)
+    upper_local = float(np.max((k_hi - ht) / ht))
     mults = (1.0, 1.25, 1.5, 2.0, 3.0)
     ratio_min = [float((k_lo / h_free(mult * t, dist2)).min()) for mult in mults]
     best_c, best_ct = 0.0, t
@@ -783,10 +789,10 @@ def check_fk_oracle(cfg: RunConfig) -> CheckReport:
         V = potentials.discretize_potential(pot, grid)
         op = semigroup.dense_schrodinger(grid, V)
         for x, y, t in FK_TRIPLES:
-            mat = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam))
             ix = grid.flat_index(grid.nearest_index([x]))
             iy = grid.flat_index(grid.nearest_index([y]))
-            dense_val = mat[ix, iy] / grid.cell_volume
+            col = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam), cols=iy)
+            dense_val = col[ix, 0] / grid.cell_volume
             est, err = semigroup.fk_kernel_estimate(
                 pot, [x], [y], t, cfg.fk_paths, cfg.seed, slices=cfg.fk_slices
             )

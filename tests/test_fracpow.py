@@ -242,7 +242,7 @@ def test_perturbation_kernel_zero_potential():
     g = GridSpec(1, 16, 2.0)
     V = potentials.discretize_potential(potentials.zero(), g)
     W = fracpow.perturbation_kernel(g, V)
-    assert np.all(W.matrix == 0.0)
+    assert (W.min_entry, W.max_abs_entry, W.max_column_mass) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("pot", [potentials.const(2.0), potentials.harmonic(), potentials.ce3()])
@@ -254,13 +254,26 @@ def test_perturbation_kernel_invariants_1d(pot):
     assert W.max_column_mass <= 2.0 * math.sqrt(math.pi) + 1e-6
 
 
-def test_perturbation_identity_reconstructs_factor():
-    g = GridSpec(1, 32, 4.0)
-    V = potentials.discretize_potential(potentials.harmonic(), g)
+@pytest.mark.parametrize(
+    "d,n,pot,factors",
+    [(1, 32, potentials.harmonic(), 1), (2, 18, potentials.harmonic(), 2),
+     (2, 18, potentials.ce1(0.25), 4), (2, 18, None, 1)],
+    ids=["1d-harmonic", "2d-harmonic", "2d-ce1", "2d-uniform"],
+)
+def test_perturbation_kernel_matches_assembled_reference(d, n, pot, factors):
+    # n = 18 at d = 2: N = 324 leaves a partial last block of rows.
+    g = GridSpec(d, n, 4.0)
+    if pot is None:
+        V = Field(g, np.random.default_rng(18).uniform(0.0, 3.0, g.shape))
+    else:
+        V = potentials.discretize_potential(pot, g)
+    assert len(semigroup.dense_schrodinger(g, V).factors) == factors
+    A = semigroup.multiplier_matrix(g, spectral.sqrt_laplacian()) @ fracpow.dense_power(g, V, -0.5)
+    ref = (A - np.eye(g.num_points)) / (fracpow.C2 * g.cell_volume)
     W = fracpow.perturbation_kernel(g, V)
-    A = fracpow.half_power_factor(g, V)
-    recon = np.eye(g.num_points) + fracpow.C2 * W.matrix * g.cell_volume
-    assert np.max(np.abs(recon - A)) <= 1e-10 * np.max(np.abs(A))
+    want = (ref.min(), np.abs(ref).max(), ref.sum(axis=0).max() * g.cell_volume)
+    got = (W.min_entry, W.max_abs_entry, W.max_column_mass)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_spectral_bounds_with_and_without_dense(monkeypatch):

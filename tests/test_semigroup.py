@@ -165,7 +165,7 @@ def test_dense_positive_semidefinite(g1):
     V = Field(g1, rng.uniform(0, 3, g1.shape))
     op = semigroup.dense_schrodinger(g1, V)
     assert op.eigenvalues.min() >= -1e-8
-    recon = (op.eigenvectors * op.eigenvalues) @ op.eigenvectors.T
+    recon = semigroup.matrix_function(op, lambda lam: lam)
     mat = semigroup.schrodinger_matrix(g1, V.values)
     assert np.max(np.abs(recon - mat)) <= 1e-8 * np.max(np.abs(mat))
 
@@ -280,8 +280,8 @@ def test_parity_sectors_match_assembled_eigh(d, n, R, pot):
         applied = semigroup.apply_function(op, phi, x).reshape(3, -1)
         want = x.reshape(3, -1) @ ref
         assert np.linalg.norm(applied - want) <= 1e-12 * np.linalg.norm(want)
-    q = op.eigenvectors
-    assert np.max(np.abs((q * op.eigenvalues) @ q.T - mat)) <= 1e-12 * np.max(np.abs(mat))
+    recon = semigroup.matrix_function(op, lambda lam: lam)
+    assert np.max(np.abs(recon - mat)) <= 1e-12 * np.max(np.abs(mat))
 
 
 @pytest.mark.parametrize("case", ["uniform", "ce3_shifted"])
@@ -294,6 +294,28 @@ def test_reflection_asymmetric_potential_takes_one_factor(case):
         V = Field(g, np.roll(V.values, 1, axis=0))
     op = semigroup.dense_schrodinger(g, V)
     assert op.sectors == () and [len(lam) for lam, _ in op.factors] == [g.num_points]
+
+
+@pytest.mark.parametrize("rule", ["zero", "apply"])
+@pytest.mark.parametrize(
+    "pot,factors",
+    [(potentials.zero(), 2), (potentials.harmonic(), 2), (potentials.ce1(0.25), 4), (None, 1)],
+    ids=["zero", "sep", "sectors", "uniform"],
+)
+def test_matrix_function_columns_match_assembled_eigh(pot, factors, rule):
+    g = GridSpec(2, 8, 4.0)
+    if pot is None:
+        V = Field(g, np.random.default_rng(12).uniform(0.0, 3.0, g.shape))
+    else:
+        V = potentials.discretize_potential(pot, g)
+    op = semigroup.dense_schrodinger(g, V)
+    assert len(op.factors) == factors
+    phi = lambda lam: np.exp(-0.3 * lam) * (1.0 + lam)
+    ref = _assembled_function(g, V, phi, rule)
+    for cols, want in ((None, ref), (5, ref[:, [5]]), ([40, 3, 63, 17], ref[:, [40, 3, 63, 17]])):
+        got = semigroup.matrix_function(op, phi, rule, cols=cols)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize(

@@ -159,6 +159,17 @@ def test_gaussian_envelope_by_offset_equals_pairwise_reference(n, R):
     got = verify.gaussian_envelope_spotcheck(t=0.25, n=n, R=R)
     assert got == _pairwise_envelope_reference(0.25, n, R)
 
+
+def test_gaussian_envelope_reads_every_column_block(monkeypatch):
+    # 512 kernel columns in 74 blocks of 7, the last one partial
+    want = _pairwise_envelope_reference(0.25, 8, 2.5)
+    monkeypatch.setattr(semigroup, "COLUMN_BLOCK", 7)
+    got = verify.gaussian_envelope_spotcheck(t=0.25, n=8, R=2.5)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0)
+
+
 def test_suite_ordering_fixed():
     assert verify.SUITES["core"] == verify.CORE_CHECKS
     assert verify.SUITES["all"][: len(verify.CORE_CHECKS)] == verify.CORE_CHECKS
