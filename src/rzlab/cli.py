@@ -152,35 +152,46 @@ def cmd_kernel(args) -> int:
     if not args.fk:
         print("only the Feynman-Kac estimator is available; pass --fk", file=sys.stderr)
         return 2
-    pot = verify.parse_potential(args.potential)
-    x = [float(v) for v in args.x.split(",")]
-    y = [float(v) for v in args.y.split(",")]
-    est, err = semigroup.fk_kernel_estimate(
-        pot, x, y, args.t, args.paths, args.seed, slices=args.slices
-    )
+    try:
+        pot = verify.parse_potential(args.potential)
+        x = [float(v) for v in args.x.split(",")]
+        y = [float(v) for v in args.y.split(",")]
+        est, err = semigroup.fk_kernel_estimate(
+            pot, x, y, args.t, args.paths, args.seed, slices=args.slices
+        )
+    except ValueError as exc:
+        return _error(exc)
     print(f"kernel_estimate={est:.12g} stderr={err:.12g} "
           f"potential={pot.label()} t={args.t:g} paths={args.paths} seed={args.seed}")
     return 0
 
 
 def cmd_field(args) -> int:
-    if args.action == "dump":
-        src = Path(args.path)
-        if not src.exists():
-            print(f"no such field file: {src}", file=sys.stderr)
-            return 1
-        f = read_field(src)
-        out = Path(args.out) if args.out else src.with_suffix(".csv")
-        with open(out, "w", newline="") as fh:
-            fh.write(f"# RZF1 d={f.spec.d} n={f.spec.n} R={f.spec.R!r}\n")
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i + 1}" for i in range(f.spec.d)] + ["value"])
-            pts = f.spec.points()
-            for p, v in zip(pts, f.flat()):
-                writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
-        print(f"wrote {out}")
-        return 0
-    # load
+    try:
+        return _field_dump(args) if args.action == "dump" else _field_load(args)
+    except ValueError as exc:  # not RZF1, a bad header or a non-numeric value
+        return _error(exc)
+
+
+def _field_dump(args) -> int:
+    src = Path(args.path)
+    if not src.exists():
+        print(f"no such field file: {src}", file=sys.stderr)
+        return 1
+    f = read_field(src)
+    out = Path(args.out) if args.out else src.with_suffix(".csv")
+    with open(out, "w", newline="") as fh:
+        fh.write(f"# RZF1 d={f.spec.d} n={f.spec.n} R={f.spec.R!r}\n")
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(f.spec.d)] + ["value"])
+        pts = f.spec.points()
+        for p, v in zip(pts, f.flat()):
+            writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
+    print(f"wrote {out}")
+    return 0
+
+
+def _field_load(args) -> int:
     src = Path(args.path)
     if not src.exists():
         print(f"no such csv file: {src}", file=sys.stderr)

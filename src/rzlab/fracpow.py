@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 from scipy.special import roots_legendre
 
 from . import semigroup, spectral
@@ -38,16 +37,6 @@ C1 = 1.0 / math.sqrt(math.pi)
 C2 = -1.0 / (2.0 * math.sqrt(math.pi))
 
 POWERS = (-0.5, -1.0, 0.5)
-
-
-def riesz_kernel_constant(d: int) -> float:
-    """Constant c_d in the kernel c_d |x|^(1-d) of (-Delta)^(-1/2), d >= 2.
-
-    Derived from c1 * int_0^inf (4 pi t)^(-d/2) exp(-|x|^2/4t) dt/sqrt(t).
-    """
-    if d < 2:
-        raise ValueError("the |x|^(1-d) kernel form needs d >= 2")
-    return gamma_fn((d - 1) / 2.0) / (2.0 * math.pi ** ((d + 1) / 2.0))
 
 
 class QuadratureBuildError(RuntimeError):
@@ -353,12 +342,11 @@ def perturbation_kernel(grid: GridSpec, V: Field) -> PerturbationKernel:
     if float(V.values.max()) == 0.0:
         return PerturbationKernel(0.0, 0.0, 0.0)
     col = semigroup._circulant_column(grid, spectral.sqrt_laplacian())
-    off = semigroup._offset_table(grid)
-    N = grid.num_points
+    N, axis = grid.num_points, np.arange(grid.n)
     lo, hi, mass = math.inf, 0.0, np.zeros(N)
     for start in range(0, N, semigroup.COLUMN_BLOCK):
         rows = np.arange(start, min(start + semigroup.COLUMN_BLOCK, N))
-        block = dense_power_apply(grid, V, -0.5, col[off[rows]].reshape(len(rows), *grid.shape))
+        block = dense_power_apply(grid, V, -0.5, col[semigroup._offset_index(grid, rows, axis)])
         block = block.reshape(len(rows), N)
         block[np.arange(len(rows)), rows] -= 1.0
         block /= C2 * grid.cell_volume

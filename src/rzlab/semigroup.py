@@ -5,13 +5,15 @@ Three independent realizations:
 * Strang splitting of the heat flow against the potential (potential
   half-steps outermost), second order in the step size and exact for
   constant V; the heat flow is applied as one n x n circulant per axis;
-* a dense-matrix route: L assembled from the spectral Laplacian (so that
+* a dense-matrix route: L built from the spectral Laplacian (so that
   dense and transform paths share one discrete operator exactly) plus
-  diag(V), with an eigendecomposition; a potential whose samples are
-  additively separable is factored per axis, and one even in each
-  coordinate is factored as 2^d parity sectors.  :func:`apply_function` is
-  the one map of phi(Lambda) back to the grid: kernels are read as phi(L)
-  applied to blocks of unit fields (:func:`matrix_function`);
+  diag(V), with an eigendecomposition held in one layout, per-axis bases
+  plus eigen-blocks (:class:`DenseOperator`): a potential whose samples are
+  additively separable is factored per axis, one even in each coordinate
+  as 2^d parity sectors, any other whole.  :func:`apply_function` is the
+  one map of phi(Lambda) back to the grid: kernels are read as phi(L)
+  applied to blocks of unit fields (:func:`matrix_function`), and
+  circulant rows are gathered by per-axis offsets (:func:`_offset_index`);
 * a Feynman-Kac Monte Carlo estimate of the kernel k_t(x, y) over
   Brownian bridges, free-space and non-periodized.
 """
@@ -24,7 +26,7 @@ import os
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -104,39 +106,25 @@ def strang_evolve(f: Field, V: Field, t: float, steps: int) -> Field:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Eigendecomposition of a grid operator, held as factors.
+    """Eigendecomposition of L on a grid: per-axis bases plus eigen-blocks.
 
-    ``factors`` holds pairs (lam_j, Q_j).  Without ``sectors`` the operator
-    is the Kronecker sum of the Q_j diag(lam_j) Q_j^T: one factor of order
-    N = n^d for a general operator, d factors of order n for one that splits
-    axis by axis.  With ``sectors`` it is block diagonal in the parity basis
-    of :func:`_parity_basis` on every axis: factor j is the block on the flat
-    parity coordinates ``sectors[j]``.  Eigenvector rows follow row-major
-    grid order (axis 0 slowest); the N x N eigenvector matrix is never
-    formed.
+    ``bases`` holds one orthogonal n x n matrix per axis (empty for grid
+    coordinates); their Kronecker product B maps basis coordinates, in
+    row-major order, to grid samples.  ``blocks`` splits B^T L B into
+    diagonal blocks (lam, U, idx): the block on the flat basis coordinates
+    ``idx`` (an index array or ``slice(None)``) is U diag(lam) U^T, with U
+    None when the block is already diagonal.  The N x N eigenvector matrix
+    is never formed.
     """
 
     grid: GridSpec
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
-    sectors: tuple[np.ndarray, ...] = ()
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Orders of the Kronecker factors (product N), or (N,) for parity sectors."""
-        if self.sectors:
-            return (self.grid.num_points,)
-        return tuple(len(lam) for lam, _ in self.factors)
-
-    @property
-    def _spectrum(self) -> np.ndarray:
-        """All N eigenvalues in factor order: by sector, or as a Kronecker sum."""
-        lams = [lam for lam, _ in self.factors]
-        return np.concatenate(lams) if self.sectors else np.ravel(reduce(np.add.outer, lams))
+    bases: tuple[np.ndarray, ...]
+    blocks: tuple[tuple[np.ndarray, np.ndarray | None, np.ndarray | slice], ...]
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """All N eigenvalues, ascending unless held as several Kronecker factors."""
-        return np.sort(self._spectrum) if self.sectors else self._spectrum
+        """All N eigenvalues, block by block (not sorted)."""
+        return np.concatenate([lam for lam, _, _ in self.blocks])
 
 
 def _eigh_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,34 +145,37 @@ def _check_dense_cap(grid: GridSpec) -> None:
 def multiplier_matrix(grid: GridSpec, m: spectral.MultiplierSpec) -> np.ndarray:
     """Dense matrix of a catalog multiplier (circulant from its delta response)."""
     _check_dense_cap(grid)
-    return _circulant_column(grid, m)[_offset_table(grid)]
+    N, axis = grid.num_points, np.arange(grid.n)
+    return _circulant_column(grid, m)[_offset_index(grid, np.arange(N), axis)].reshape(N, N)
 
 
 def _circulant_column(grid: GridSpec, m: spectral.MultiplierSpec) -> np.ndarray:
-    """Flat delta response c of a multiplier, symmetrized: c[k] = c[-k mod n].
+    """Delta response c of a multiplier on the grid, symmetrized: c[k] = c[-k mod n].
 
-    ``c[_offset_table(grid)[rows]]`` gathers those rows (equally, columns) of
-    the symmetric circulant matrix of m.
+    ``c[_offset_index(grid, rows, np.arange(n))]`` gathers those rows
+    (equally, columns) of the symmetric circulant matrix of m.
     """
     delta = np.zeros(grid.shape)
     delta[(0,) * grid.d] = 1.0
     col = spectral.apply_symbol_stack(delta, m.symbol(grid), grid.d)
     axes = tuple(range(grid.d))
-    return (0.5 * (col + np.roll(np.flip(col, axes), 1, axes))).ravel()
+    return 0.5 * (col + np.roll(np.flip(col, axes), 1, axes))
 
 
-@lru_cache(maxsize=2)
-def _offset_table(grid: GridSpec) -> np.ndarray:
-    """(i - j) mod n per axis, folded to flat indices: off[i, j]."""
-    n, d, N = grid.n, grid.d, grid.num_points
-    idx = np.arange(N, dtype=np.int32)
-    off = np.zeros((N, N), dtype=np.int32)
-    for a in range(d):
-        ka = (idx // n ** (d - 1 - a)) % n
-        off *= n
-        off += (ka[:, None] - ka[None, :]) % n
-    off.setflags(write=False)
-    return off
+def _offset_index(grid: GridSpec, rows: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-axis (k_a(i) - q_a) mod n for flat rows i and per-axis offsets q_a.
+
+    Returns d open-mesh index arrays, one per axis: an array of grid shape
+    indexed by them is (len(rows), len(offsets), ..., len(offsets)), with
+    entry [r, q] taken at the grid offset k(rows[r]) - q.
+    """
+    k, d = np.unravel_index(rows, grid.shape), grid.d
+    return tuple(
+        ((k[a][:, None] - offsets) % grid.n).reshape(
+            len(rows), *(len(offsets) if b == a else 1 for b in range(d))
+        )
+        for a in range(d)
+    )
 
 
 def schrodinger_matrix(grid: GridSpec, V: np.ndarray) -> np.ndarray:
@@ -243,8 +234,8 @@ def _parity_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _parity_sectors(grid: GridSpec, V: np.ndarray) -> tuple[tuple[np.ndarray, ...], list]:
-    """Flat parity coordinates and matrix of L on each sector in {even, odd}^d.
+def _parity_sectors(grid: GridSpec, V: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(Flat parity coordinates, matrix of L) on each sector in {even, odd}^d.
 
     The 1-D Laplacian commutes with the reflection, so in the parity basis
     it has an even and an odd block; a V invariant under every axis
@@ -256,13 +247,13 @@ def _parity_sectors(grid: GridSpec, V: np.ndarray) -> tuple[tuple[np.ndarray, ..
     basis = _parity_basis(n)
     lap = basis.T @ schrodinger_matrix(GridSpec(1, n, grid.R), np.zeros(n)) @ basis
     rep = np.r_[0 : h + 1, 1:h]
-    sectors, matrices = [], []
+    sectors = []
     for axes in itertools.product((np.arange(h + 1), np.arange(h + 1, n)), repeat=grid.d):
         kron_sum = reduce(lambda a, b: np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b),
                           [lap[np.ix_(c, c)] for c in axes])
-        sectors.append(np.ravel_multi_index(np.ix_(*axes), grid.shape).ravel())
-        matrices.append(kron_sum + np.diag(V[np.ix_(*(rep[c] for c in axes))].ravel()))
-    return tuple(sectors), matrices
+        sectors.append((np.ravel_multi_index(np.ix_(*axes), grid.shape).ravel(),
+                        kron_sum + np.diag(V[np.ix_(*(rep[c] for c in axes))].ravel())))
+    return sectors
 
 
 class SingleFlightCache:
@@ -320,11 +311,13 @@ def dense_schrodinger(grid: GridSpec, V: Field) -> DenseOperator:
 
     When the samples of V are additively separable (zero, const, harmonic),
     L is the Kronecker sum of d one-dimensional operators and is factored
-    per axis by d eigendecompositions of order n.  Otherwise, when d >= 2
-    and V is even in each coordinate (ce1, ce2, ce3), L is block diagonal in
-    the parity basis and each of its 2^d sectors, of order at most
-    (n/2 + 1)^d, is factored alone.  Any other V has its assembled N x N
-    matrix factored whole.  Decompositions are cached on (grid,
+    per axis by d eigendecompositions of order n: their eigenvectors are the
+    bases, and the Kronecker-sum eigenvalues one diagonal block.  Otherwise,
+    when d >= 2 and V is even in each coordinate (ce1, ce2, ce3), L is block
+    diagonal in the parity basis on each axis and each of its 2^d sectors,
+    of order at most (n/2 + 1)^d, is factored alone.  Any other V has its
+    assembled N x N matrix factored whole, as one block on the grid
+    coordinates.  Decompositions are cached on (grid,
     potential samples), and concurrent callers of one key share a single
     factorization: the d = 3 oracle at the cap takes seconds to factor.
     """
@@ -335,19 +328,21 @@ def dense_schrodinger(grid: GridSpec, V: Field) -> DenseOperator:
 
 def _factor(grid: GridSpec, V: Field) -> DenseOperator:
     parts = _separable_parts(V) if grid.d > 1 else None
-    sectors = ()
     if parts is not None:
         line = GridSpec(1, grid.n, grid.R)
-        matrices = [schrodinger_matrix(line, v) for v in parts]
+        axes = [_eigh_symmetric(schrodinger_matrix(line, v)) for v in parts]
+        bases = tuple(q for _, q in axes)
+        blocks = [(np.ravel(reduce(np.add.outer, [lam for lam, _ in axes])), None, slice(None))]
     elif grid.d > 1 and _reflection_symmetric(V):
-        sectors, matrices = _parity_sectors(grid, V.values)
+        bases = (_parity_basis(grid.n),) * grid.d
+        blocks = [(*_eigh_symmetric(m), idx) for idx, m in _parity_sectors(grid, V.values)]
     else:
-        matrices = [schrodinger_matrix(grid, V.values)]
-    factors = tuple(_eigh_symmetric(m) for m in matrices)
-    for arrays in factors:
-        for a in arrays:
+        bases = ()
+        blocks = [(*_eigh_symmetric(schrodinger_matrix(grid, V.values)), slice(None))]
+    for a in (*bases, *(x for block in blocks for x in block)):
+        if isinstance(a, np.ndarray):
             a.setflags(write=False)
-    return DenseOperator(grid, factors, sectors)
+    return DenseOperator(grid, bases, tuple(blocks))
 
 
 def zero_modes(lam: np.ndarray) -> np.ndarray:
@@ -360,11 +355,10 @@ def zero_modes(lam: np.ndarray) -> np.ndarray:
 
 
 def _spectral_values(
-    op: DenseOperator, phi: Callable[[np.ndarray], np.ndarray], zero_mode_rule: str
+    lam: np.ndarray, phi: Callable[[np.ndarray], np.ndarray], zero_mode_rule: str
 ) -> np.ndarray:
     if zero_mode_rule not in ("zero", "apply"):
         raise ValueError(f"unknown zero-mode rule {zero_mode_rule!r}")
-    lam = op._spectrum
     zero_mask = zero_modes(lam)
     if zero_mode_rule == "zero":
         vals = np.zeros_like(lam)
@@ -374,17 +368,10 @@ def _spectral_values(
     if not np.all(np.isfinite(vals)):
         bad = lam[~np.isfinite(vals)]
         raise ValueError(f"matrix function not finite at eigenvalues {bad[:3]}")
-    return vals.reshape(op.shape)
+    return vals
 
 
-def _bases(op: DenseOperator) -> list[np.ndarray]:
-    """Per-axis orthogonal matrices from the operator's coordinates to the grid."""
-    if op.sectors:
-        return [_parity_basis(op.grid.n)] * op.grid.d
-    return [q for _, q in op.factors]
-
-
-def _contract(x: np.ndarray, bases: list[np.ndarray], to_basis: bool) -> np.ndarray:
+def _contract(x: np.ndarray, bases: tuple[np.ndarray, ...], to_basis: bool) -> np.ndarray:
     """B^T x (to_basis) or B x over the trailing axes of x, one axis per basis."""
     k = len(bases)
     for a, q in enumerate(bases):
@@ -393,39 +380,28 @@ def _contract(x: np.ndarray, bases: list[np.ndarray], to_basis: bool) -> np.ndar
     return x
 
 
-def _by_sector(op: DenseOperator, vals: np.ndarray):
-    """(U, its share of vals in spectrum order, parity coordinates) per sector."""
-    ends = np.cumsum([len(lam) for lam, _ in op.factors])
-    return zip((u for _, u in op.factors), np.split(vals, ends[:-1]), op.sectors)
-
-
 def apply_function(
     op: DenseOperator,
     phi: Callable[[np.ndarray], np.ndarray],
     stack: np.ndarray,
     zero_mode_rule: str = "apply",
 ) -> np.ndarray:
-    """phi(L) applied to a (batch, *grid shape) stack: Q (phi(Lambda) (Q^T x)).
+    """phi(L) applied to a (batch, *grid shape) stack: B U phi(Lambda) U^T B^T x.
 
-    Contracts one factor or grid axis at a time, so the N x N matrix of
-    phi(L) is never formed; parity sectors are applied block by block in
-    parity coordinates.  ``zero_mode_rule`` controls (near-)zero
-    eigenvalues: "zero" forces phi there to 0 (negative powers of a
-    singular operator on mean-zero fields), "apply" evaluates phi.
+    Contracts with the per-axis bases one axis at a time, applies each
+    eigen-block on its basis coordinates, and contracts back, so the N x N
+    matrix of phi(L) is never formed.  ``zero_mode_rule`` controls
+    (near-)zero eigenvalues: "zero" forces phi there to 0 (negative powers
+    of a singular operator on mean-zero fields), "apply" evaluates phi.
     """
-    vals = _spectral_values(op, phi, zero_mode_rule)
-    bases = _bases(op)
-    shape = (len(stack), *(len(q) for q in bases))
-    x = _contract(stack.reshape(shape), bases, to_basis=True)
-    if op.sectors:
-        x = x.reshape(len(stack), -1)
-        y = np.empty_like(x)
-        for u, v, idx in _by_sector(op, vals):
-            y[:, idx] = (x[:, idx] @ u * v) @ u.T
-        x = y.reshape(shape)
-    else:
-        x = x * vals
-    return _contract(x, bases, to_basis=False).reshape(stack.shape)
+    vals = _spectral_values(op.eigenvalues, phi, zero_mode_rule)
+    ends = np.cumsum([len(lam) for lam, _, _ in op.blocks])
+    shape = (len(stack), *op.grid.shape)
+    x = _contract(stack.reshape(shape), op.bases, to_basis=True).reshape(len(stack), -1)
+    y = np.empty_like(x)
+    for (_, u, idx), v in zip(op.blocks, np.split(vals, ends[:-1])):
+        y[:, idx] = x[:, idx] * v if u is None else (x[:, idx] @ u * v) @ u.T
+    return _contract(y.reshape(shape), op.bases, to_basis=False).reshape(stack.shape)
 
 
 def matrix_function(

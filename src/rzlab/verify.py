@@ -271,7 +271,7 @@ def _interp_bound(p: float) -> float:
 
 
 def _report(check_id, cfg_note, measured, bound_name, bound_value, measured_value,
-            tolerance, verdict, t0) -> CheckReport:
+            tolerance, verdict) -> CheckReport:
     return CheckReport(
         check_id=check_id,
         config=cfg_note,
@@ -281,7 +281,7 @@ def _report(check_id, cfg_note, measured, bound_name, bound_value, measured_valu
         measured_value=float(measured_value),
         tolerance=float(tolerance),
         verdict=verdict,
-        runtime_s=time.perf_counter() - t0,
+        runtime_s=0.0,  # set by run_check
     )
 
 
@@ -297,7 +297,6 @@ def _cfg_note(cfg: RunConfig, **extra) -> dict:
 
 def check_domination(cfg: RunConfig) -> CheckReport:
     """Pointwise semigroup domination: K_t f <= H_t f + tol for nonneg f."""
-    t0 = time.perf_counter()
     rng = rng_for(cfg.seed, "DOMINATION")
     grid = cfg.grid()
     fields = nonneg_trials(grid, rng, 20)
@@ -319,13 +318,11 @@ def check_domination(cfg: RunConfig) -> CheckReport:
     tol = 1e-8
     verdict = "pass" if worst <= tol else "fail"
     note = _cfg_note(cfg, times=[0.1, 0.5, 1.0], catalog=[pot.label() for pot in pots])
-    return _report("DOMINATION", note, per,
-                   "pointwise_excess", 0.0, worst, tol, verdict, t0)
+    return _report("DOMINATION", note, per, "pointwise_excess", 0.0, worst, tol, verdict)
 
 
 def check_composition(cfg: RunConfig) -> CheckReport:
     """Half-power kernel composed with itself reproduces the full inverse."""
-    t0 = time.perf_counter()
     grid = cfg.grid()
     V = potentials.discretize_potential(parse_potential(cfg.potential), grid)
     g_half = fracpow.dense_green(grid, V, -0.5)
@@ -335,12 +332,11 @@ def check_composition(cfg: RunConfig) -> CheckReport:
     tol = 1e-10
     verdict = "pass" if err <= tol else "fail"
     return _report("COMPOSITION", _cfg_note(cfg), {"rel_frobenius_err": err},
-                   "composition_residual", 0.0, err, tol, verdict, t0)
+                   "composition_residual", 0.0, err, tol, verdict)
 
 
 def check_green_mass(cfg: RunConfig) -> CheckReport:
     """Green mass at most 1: constant-V equality plus random potentials."""
-    t0 = time.perf_counter()
     rng = rng_for(cfg.seed, "GREEN_MASS")
     grid = cfg.grid()
     const, samples = potentials.const(2.0), 50
@@ -358,12 +354,11 @@ def check_green_mass(cfg: RunConfig) -> CheckReport:
     note = _cfg_note(cfg, catalog=[const.label(), f"{samples} uniform(0, 5) samples"])
     return _report("GREEN_MASS", note,
                    {"const_equality_dev": const_dev, "random_max_mass": worst},
-                   "green_mass", 1.0, worst, 1e-8, "pass" if ok else "fail", t0)
+                   "green_mass", 1.0, worst, 1e-8, "pass" if ok else "fail")
 
 
 def check_l2_contract(cfg: RunConfig) -> CheckReport:
     """L2 ratio of the half-power factor at most 1 for every catalog V."""
-    t0 = time.perf_counter()
     rng = rng_for(cfg.seed, "L2_CONTRACT")
     grid = cfg.grid()
     fields = trial_family(grid, rng, cfg.trials, mean_zero=True, structured=False)
@@ -380,13 +375,11 @@ def check_l2_contract(cfg: RunConfig) -> CheckReport:
         worst = max(worst, per[pot.label()])
     verdict = "pass" if worst <= 1.0 + DENSE_TOL else "fail"
     note = _cfg_note(cfg, catalog=[pot.label() for pot in catalog])
-    return _report("L2_CONTRACT", note, per, "l2_ratio", 1.0,
-                   worst, DENSE_TOL, verdict, t0)
+    return _report("L2_CONTRACT", note, per, "l2_ratio", 1.0, worst, DENSE_TOL, verdict)
 
 
 def check_l1_bound(cfg: RunConfig) -> CheckReport:
     """Per-function L1 ratio of the half-power factor at most 2."""
-    t0 = time.perf_counter()
     rng = rng_for(cfg.seed, "L1_BOUND")
     grid = cfg.grid()
     worst = -math.inf
@@ -404,8 +397,7 @@ def check_l1_bound(cfg: RunConfig) -> CheckReport:
         worst = max(worst, per[pot.label()])
     verdict = "pass" if worst <= 2.0 * (1.0 + DENSE_TOL) else "fail"
     note = _cfg_note(cfg, catalog=[pot.label() for pot in catalog])
-    return _report("L1_BOUND", note, per, "l1_ratio", 2.0,
-                   worst, DENSE_TOL, verdict, t0)
+    return _report("L1_BOUND", note, per, "l1_ratio", 2.0, worst, DENSE_TOL, verdict)
 
 
 def check_w_kernel(cfg: RunConfig) -> CheckReport:
@@ -415,7 +407,6 @@ def check_w_kernel(cfg: RunConfig) -> CheckReport:
     far-field ringing of the discrete half-power kernels swamps the sign
     structure of W (the column-mass identity holds at any resolution).
     """
-    t0 = time.perf_counter()
     grid = cfg.grid(n=max(cfg.n, 32))
     mass_bound = 2.0 * math.sqrt(math.pi)
     worst_neg = 0.0
@@ -433,12 +424,11 @@ def check_w_kernel(cfg: RunConfig) -> CheckReport:
     ok = worst_neg >= -1e-8 and worst_mass <= mass_bound + 1e-6
     note = _cfg_note(cfg, n=grid.n, catalog=[pot.label() for pot in catalog])
     return _report("W_KERNEL", note, per, "column_mass",
-                   mass_bound, worst_mass, 1e-6, "pass" if ok else "fail", t0)
+                   mass_bound, worst_mass, 1e-6, "pass" if ok else "fail")
 
 
 def check_interp(cfg: RunConfig) -> CheckReport:
     """Interpolated per-function p-norm ratios for the half-power factor."""
-    t0 = time.perf_counter()
     rng = rng_for(cfg.seed, "INTERP")
     grid = cfg.grid()
     ps = sorted(set([1.0, *cfg.p_list]))
@@ -466,8 +456,7 @@ def check_interp(cfg: RunConfig) -> CheckReport:
     label, p, ratio, bound = worst_pair
     note = _cfg_note(cfg, p_values=ps, worst=f"{label}@p={p:g}",
                      catalog=[pot.label() for pot in catalog])
-    return _report("INTERP", note,
-                   per, "interp_ratio", bound, ratio, QUAD_TOL, verdict, t0)
+    return _report("INTERP", note, per, "interp_ratio", bound, ratio, QUAD_TOL, verdict)
 
 
 def check_theorem(cfg: RunConfig) -> CheckReport:
@@ -479,7 +468,6 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
     within the interpolation bound times the empirical classical constant;
     (iv) one constant works for every dimension.
     """
-    t0 = time.perf_counter()
     rng = rng_for(cfg.seed, "THEOREM")
     pot = parse_potential(cfg.potential)
     dims = (1, 2, 3)
@@ -579,7 +567,7 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
         note["trials_by_d"] = trials_by_d
     return _report("THEOREM", note, measured,
                    "vector_margin", 1.0, worst_vector_margin, QUAD_TOL,
-                   "pass" if ok else "fail", t0)
+                   "pass" if ok else "fail")
 
 
 def check_weak11(cfg: RunConfig) -> CheckReport:
@@ -589,7 +577,6 @@ def check_weak11(cfg: RunConfig) -> CheckReport:
     symmetry center of box and potential the level sets quantize in
     mirror pairs and the functional converges an order slower.
     """
-    t0 = time.perf_counter()
     pot = parse_potential(cfg.potential)
     d = min(cfg.d, 2)
     widths = (1.0, 1.25, 1.5)
@@ -614,7 +601,7 @@ def check_weak11(cfg: RunConfig) -> CheckReport:
     verdict = "pass" if worst <= 0.10 else "fail"
     return _report("WEAK11", _cfg_note(cfg, widths=widths, d=d),
                    {f"width_case_{i}": r for i, r in enumerate(rel)},
-                   "refinement_change", 0.0, worst, 0.10, verdict, t0)
+                   "refinement_change", 0.0, worst, 0.10, verdict)
 
 
 def check_vhalf(cfg: RunConfig) -> CheckReport:
@@ -623,7 +610,6 @@ def check_vhalf(cfg: RunConfig) -> CheckReport:
     The p = 2 ratio is asserted at most 1; smaller p are informational
     (no numeric bound is derived here) and recorded in the report.
     """
-    t0 = time.perf_counter()
     rng = rng_for(cfg.seed, "VHALF")
     pot = parse_potential(cfg.potential)
     ps = (1.25, 1.5, 2.0)
@@ -640,13 +626,11 @@ def check_vhalf(cfg: RunConfig) -> CheckReport:
             if p == 2.0:
                 worst_p2 = max(worst_p2, per[f"d{d}_p{p:g}"])
     verdict = "pass" if worst_p2 <= 1.0 + DENSE_TOL else "fail"
-    return _report("VHALF", _cfg_note(cfg), per, "p2_ratio", 1.0, worst_p2,
-                   DENSE_TOL, verdict, t0)
+    return _report("VHALF", _cfg_note(cfg), per, "p2_ratio", 1.0, worst_p2, DENSE_TOL, verdict)
 
 
 def check_ce1(cfg: RunConfig) -> CheckReport:
     """Counterexample-1 lattice: slopes, control case, series residual."""
-    t0 = time.perf_counter()
     lattice = [(0.1, 3.0), (0.25, 4.0), (0.4, 8.0)]
     measured = {}
     worst_dev = -math.inf
@@ -670,13 +654,11 @@ def check_ce1(cfg: RunConfig) -> CheckReport:
     verdict = "pass" if ok else "fail"
     note = _cfg_note(cfg, lattice=lattice, section=asdict(control.extras["section"]),
                      deltas=control.xs.tolist(), residual_grid=asdict(residual_grid))
-    return _report("CE1", note, measured, "slope_deviation", 0.0, worst_dev, 0.05,
-                   verdict, t0)
+    return _report("CE1", note, measured, "slope_deviation", 0.0, worst_dev, 0.05, verdict)
 
 
 def check_ce2(cfg: RunConfig) -> CheckReport:
     """Counterexample-2: log mass growth plus the kernel-envelope spot check."""
-    t0 = time.perf_counter()
     rep = counterexamples.ce2_scan(4.0)
     measured = {"mass_fit_r2": rep.fit_r2}
     ok = rep.verdict == "pass"
@@ -692,8 +674,7 @@ def check_ce2(cfg: RunConfig) -> CheckReport:
     measured.update(env)
     ok &= env["upper_excess_local"] <= 2e-3 and env["fitted_c"] > 0.0
     verdict = "pass" if ok else "fail"
-    return _report("CE2", _cfg_note(cfg), measured, "mass_fit_r2", 0.99,
-                   rep.fit_r2, 0.0, verdict, t0)
+    return _report("CE2", _cfg_note(cfg), measured, "mass_fit_r2", 0.99, rep.fit_r2, 0.0, verdict)
 
 
 def gaussian_envelope_spotcheck(
@@ -722,18 +703,21 @@ def gaussian_envelope_spotcheck(
 
     # Separation, region and envelopes depend only on the per-axis offset
     # q = (i - j) mod n: form them once per q, at x = point q and y = point 0.
-    # The ratios are monotone in k, so each q's extreme k gives its extremes.
-    # Row i of the symmetric k_t is its column i, read a block at a time.
-    pts = grid.points()
-    delta = (pts - pts[0] + grid.R) % (2.0 * grid.R) - grid.R
-    cols = np.flatnonzero(np.max(np.abs(delta), axis=-1) <= region_fraction * grid.R)
-    dist2 = (delta[cols] ** 2).sum(axis=-1)
-    off = semigroup._offset_table(grid)
-    k_lo, k_hi = np.full(len(cols), np.inf), np.full(len(cols), -np.inf)
+    # The region is a box, so its offsets are one set per axis.  The ratios
+    # are monotone in k, so each q's extreme k gives its extremes.  Row i of
+    # the symmetric k_t is its column i, read a block at a time.
+    ax = grid.axis()
+    sep = (ax - ax[0] + grid.R) % (2.0 * grid.R) - grid.R
+    offs = np.flatnonzero(np.abs(sep) <= region_fraction * grid.R)
+    delta = np.stack(np.meshgrid(*[sep[offs]] * grid.d, indexing="ij"), axis=-1)
+    dist2 = (delta.reshape(-1, grid.d) ** 2).sum(axis=-1)
+    k_lo, k_hi = np.full(len(dist2), np.inf), np.full(len(dist2), -np.inf)
     for start in range(0, grid.num_points, semigroup.COLUMN_BLOCK):
         block = np.arange(start, min(start + semigroup.COLUMN_BLOCK, grid.num_points))
         kt = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam), cols=block)
-        k = np.take_along_axis(kt.T, off[block][:, cols], axis=1)
+        at = (np.arange(len(block)).reshape(-1, *(1,) * grid.d),
+              *semigroup._offset_index(grid, block, offs))
+        k = kt.T.reshape(len(block), *grid.shape)[at].reshape(len(block), -1)
         k_lo, k_hi = np.minimum(k_lo, k.min(axis=0)), np.maximum(k_hi, k.max(axis=0))
     k_lo, k_hi = k_lo / grid.cell_volume, k_hi / grid.cell_volume
     ht = h_free(t, dist2)
@@ -755,7 +739,6 @@ def gaussian_envelope_spotcheck(
 
 def check_ce3(cfg: RunConfig) -> CheckReport:
     """Counterexample-3: ln ln tail growth and Green-bound stability."""
-    t0 = time.perf_counter()
     rep = counterexamples.ce3_scan()
     measured = {
         f"increment_rel_{i}": float(v)
@@ -771,8 +754,7 @@ def check_ce3(cfg: RunConfig) -> CheckReport:
     ok &= stab < 0.02 and not gb1.divergent
     verdict = "pass" if ok else "fail"
     worst = float(max(rep.extras["increment_rel_err"]))
-    return _report("CE3", _cfg_note(cfg), measured, "increment_rel_err", 0.0,
-                   worst, 0.05, verdict, t0)
+    return _report("CE3", _cfg_note(cfg), measured, "increment_rel_err", 0.0, worst, 0.05, verdict)
 
 
 FK_TRIPLES = ((0.0, 0.0, 0.25), (0.5, -0.25, 0.4), (1.0, 1.0, 0.1))
@@ -780,7 +762,6 @@ FK_TRIPLES = ((0.0, 0.0, 0.25), (0.5, -0.25, 0.4), (1.0, 1.0, 0.1))
 
 def check_fk_oracle(cfg: RunConfig) -> CheckReport:
     """Feynman-Kac estimates within 3 standard errors of the dense kernel."""
-    t0 = time.perf_counter()
     grid = GridSpec(1, 64, cfg.R)
     measured = {}
     ok = True
@@ -806,12 +787,11 @@ def check_fk_oracle(cfg: RunConfig) -> CheckReport:
             ok &= abs(est - dense_val) <= slack
     verdict = "pass" if ok else "fail"
     return _report("FK_ORACLE", _cfg_note(cfg, triples=FK_TRIPLES), measured,
-                   "sigma_distance", 3.0, worst_sigma, 0.0, verdict, t0)
+                   "sigma_distance", 3.0, worst_sigma, 0.0, verdict)
 
 
 def check_quad_vs_dense(cfg: RunConfig) -> CheckReport:
     """Quadrature fractional powers against the dense eigendecomposition."""
-    t0 = time.perf_counter()
     rng = rng_for(cfg.seed, "QUAD_VS_DENSE")
     worst = -math.inf
     per = {}
@@ -837,8 +817,7 @@ def check_quad_vs_dense(cfg: RunConfig) -> CheckReport:
                 )
                 worst = max(worst, per[key])
     verdict = "pass" if worst <= 1e-4 else "fail"
-    return _report("QUAD_VS_DENSE", _cfg_note(cfg), per, "rel_l2_err", 0.0,
-                   worst, 1e-4, verdict, t0)
+    return _report("QUAD_VS_DENSE", _cfg_note(cfg), per, "rel_l2_err", 0.0, worst, 1e-4, verdict)
 
 
 CHECKS = {
@@ -863,7 +842,10 @@ CHECKS = {
 def run_check(check_id: str, cfg: RunConfig | None = None) -> CheckReport:
     if check_id not in CHECKS:
         raise ValueError(f"unknown check {check_id!r}; know {sorted(CHECKS)}")
-    return CHECKS[check_id](cfg or RunConfig())
+    t0 = time.perf_counter()
+    report = CHECKS[check_id](cfg or RunConfig())
+    report.runtime_s = time.perf_counter() - t0
+    return report
 
 
 def run_suite(suite: str, cfg: RunConfig | None = None) -> list[CheckReport]:

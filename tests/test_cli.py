@@ -108,6 +108,36 @@ def test_kernel_fk_runs(capsys):
     assert "stderr=" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("--potential", "nope"),
+    ("--paths", "0"),
+    ("--t", "-1"),
+    ("--x", "0,0", "--y", "0"),  # endpoints of different dimensions
+    ("--x", "abc"),
+])
+def test_kernel_bad_input_exit_2_with_one_line(argv, capsys):
+    rc = run_cli("kernel", "--fk", *argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("rzlab: error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("action, content, flags", [
+    ("load", "x1,value\n" + "0,1.0\n" * 15 + "0,abc\n", ("--d", "1", "--n", "16", "--R", "4")),
+    ("load", "# RZF1 d=1 n=5 R=4.0\nx1,value\n" + "0,1.0\n" * 5, ()),
+    ("dump", "x1,value\n0,1.0\n", ()),  # not an RZF1 file
+], ids=["non-numeric", "odd-n-header", "not-rzf1"])
+def test_field_bad_input_exit_2_with_one_line(action, content, flags, tmp_path, capsys):
+    src = tmp_path / "in.dat"
+    src.write_text(content)
+    rc = run_cli("field", action, str(src), "--out", str(tmp_path / "out"), *flags)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("rzlab: error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_field_dump_and_load_roundtrip(tmp_path):
     g = GridSpec(2, 4, 1.5)
     rng = np.random.default_rng(0)

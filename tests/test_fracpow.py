@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad as scipy_quad
 
 from rzlab import fracpow, potentials, semigroup, spectral, verify
 from rzlab.grid import Field, GridSpec
@@ -20,21 +19,6 @@ def test_constants():
     assert fracpow.C2 == pytest.approx(-0.28209479177387814, rel=1e-15)
     assert fracpow.C1 == pytest.approx(-2.0 * fracpow.C2, rel=1e-15)
     assert fracpow.C1 > 0 > fracpow.C2
-
-
-@pytest.mark.parametrize("d", [2, 3, 5])
-@pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
-def test_riesz_kernel_constant_from_subordination(d, x):
-    val, _ = scipy_quad(
-        lambda t: (4 * math.pi * t) ** (-d / 2)
-        * math.exp(-x * x / (4 * t))
-        * fracpow.C1
-        / math.sqrt(t),
-        0,
-        np.inf,
-    )
-    pred = fracpow.riesz_kernel_constant(d) * x ** (1 - d)
-    assert val == pytest.approx(pred, rel=1e-9)
 
 
 def test_scalar_identity_examples():
@@ -255,19 +239,20 @@ def test_perturbation_kernel_invariants_1d(pot):
 
 
 @pytest.mark.parametrize(
-    "d,n,pot,factors",
-    [(1, 32, potentials.harmonic(), 1), (2, 18, potentials.harmonic(), 2),
-     (2, 18, potentials.ce1(0.25), 4), (2, 18, None, 1)],
+    "d,n,pot,layout",
+    [(1, 32, potentials.harmonic(), (0, 1)), (2, 18, potentials.harmonic(), (2, 1)),
+     (2, 18, potentials.ce1(0.25), (2, 4)), (2, 18, None, (0, 1))],
     ids=["1d-harmonic", "2d-harmonic", "2d-ce1", "2d-uniform"],
 )
-def test_perturbation_kernel_matches_assembled_reference(d, n, pot, factors):
+def test_perturbation_kernel_matches_assembled_reference(d, n, pot, layout):
     # n = 18 at d = 2: N = 324 leaves a partial last block of rows.
     g = GridSpec(d, n, 4.0)
     if pot is None:
         V = Field(g, np.random.default_rng(18).uniform(0.0, 3.0, g.shape))
     else:
         V = potentials.discretize_potential(pot, g)
-    assert len(semigroup.dense_schrodinger(g, V).factors) == factors
+    op = semigroup.dense_schrodinger(g, V)
+    assert (len(op.bases), len(op.blocks)) == layout
     A = semigroup.multiplier_matrix(g, spectral.sqrt_laplacian()) @ fracpow.dense_power(g, V, -0.5)
     ref = (A - np.eye(g.num_points)) / (fracpow.C2 * g.cell_volume)
     W = fracpow.perturbation_kernel(g, V)
@@ -281,12 +266,12 @@ def test_spectral_bounds_with_and_without_dense(monkeypatch):
     V = potentials.discretize_potential(potentials.harmonic(), g)
     lo, hi = fracpow.spectral_bounds(g, V)
     op = semigroup.dense_schrodinger(g, V)
-    assert lo == pytest.approx(op.eigenvalues[0])
-    assert hi == pytest.approx(op.eigenvalues[-1])
+    assert lo == pytest.approx(op.eigenvalues.min())
+    assert hi == pytest.approx(op.eigenvalues.max())
     monkeypatch.setenv("RZLAB_DENSE_CAP", str(g.num_points - 1))
     lo2, hi2 = fracpow.spectral_bounds(g, V)
     assert 0 < lo2 <= hi2
-    assert hi2 >= op.eigenvalues[-1] * 0.99
+    assert hi2 >= op.eigenvalues.max() * 0.99
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -229,7 +229,9 @@ def test_separable_factors_match_assembled_eigh(d, n, pot):
     g = GridSpec(d, n, 4.0)
     V = potentials.discretize_potential(pot, g)
     op = semigroup.dense_schrodinger(g, V)
-    assert op.shape == (n,) * d
+    # per-axis eigenvectors, and the Kronecker-sum eigenvalues as one diagonal block
+    assert [q.shape for q in op.bases] == [(n, n)] * d
+    assert [(len(lam), u, idx) for lam, u, idx in op.blocks] == [(g.num_points, None, slice(None))]
     rule = "zero" if pot.tag == "zero" else "apply"
     x = np.random.default_rng(d * n).standard_normal((3, *g.shape))
     x -= x.mean(axis=tuple(range(1, d + 1)), keepdims=True)
@@ -254,9 +256,13 @@ def test_non_separable_potentials_take_one_factor(pot):
     else:
         V = potentials.discretize_potential(pot, g)
     op = semigroup.dense_schrodinger(g, V)
-    assert op.shape == (g.num_points,)
+    if pot is None:  # no reflection symmetry: one block of order N on the grid
+        assert op.bases == () and [len(lam) for lam, _, _ in op.blocks] == [g.num_points]
+    else:  # even in each coordinate: parity sectors
+        assert [q.shape for q in op.bases] == [(8, 8)] * 2 and len(op.blocks) == 4
+    assert all(u is not None for _, u, _ in op.blocks)
     lam, _ = np.linalg.eigh(semigroup.schrodinger_matrix(g, V.values))
-    np.testing.assert_allclose(op.eigenvalues, lam, rtol=0, atol=1e-12 * np.abs(lam).max())
+    np.testing.assert_allclose(np.sort(op.eigenvalues), lam, rtol=0, atol=1e-12 * np.abs(lam).max())
 
 
 NON_SEPARABLE = [potentials.ce1(0.25), potentials.ce2(4.0), potentials.ce3()]
@@ -269,7 +275,9 @@ def test_parity_sectors_match_assembled_eigh(d, n, R, pot):
     g = GridSpec(d, n, R)
     V = potentials.discretize_potential(pot, g)
     op = semigroup.dense_schrodinger(g, V)
-    assert len(op.sectors) == len(op.factors) == 2**d
+    assert [q.shape for q in op.bases] == [(n, n)] * d and len(op.blocks) == 2**d
+    idx = np.concatenate([idx for _, _, idx in op.blocks])
+    np.testing.assert_array_equal(np.sort(idx), np.arange(g.num_points))
     mat = semigroup.schrodinger_matrix(g, V.values)
     lam, q = np.linalg.eigh(mat)  # the assembled reference, as in _assembled_function
     x = np.random.default_rng(d * n).standard_normal((3, *g.shape))
@@ -293,23 +301,24 @@ def test_reflection_asymmetric_potential_takes_one_factor(case):
         V = potentials.discretize_potential(potentials.ce3(), g)
         V = Field(g, np.roll(V.values, 1, axis=0))
     op = semigroup.dense_schrodinger(g, V)
-    assert op.sectors == () and [len(lam) for lam, _ in op.factors] == [g.num_points]
+    assert op.bases == () and [len(lam) for lam, _, _ in op.blocks] == [g.num_points]
 
 
 @pytest.mark.parametrize("rule", ["zero", "apply"])
 @pytest.mark.parametrize(
-    "pot,factors",
-    [(potentials.zero(), 2), (potentials.harmonic(), 2), (potentials.ce1(0.25), 4), (None, 1)],
+    "pot,layout",
+    [(potentials.zero(), (2, 1)), (potentials.harmonic(), (2, 1)),
+     (potentials.ce1(0.25), (2, 4)), (None, (0, 1))],
     ids=["zero", "sep", "sectors", "uniform"],
 )
-def test_matrix_function_columns_match_assembled_eigh(pot, factors, rule):
+def test_matrix_function_columns_match_assembled_eigh(pot, layout, rule):
     g = GridSpec(2, 8, 4.0)
     if pot is None:
         V = Field(g, np.random.default_rng(12).uniform(0.0, 3.0, g.shape))
     else:
         V = potentials.discretize_potential(pot, g)
     op = semigroup.dense_schrodinger(g, V)
-    assert len(op.factors) == factors
+    assert (len(op.bases), len(op.blocks)) == layout
     phi = lambda lam: np.exp(-0.3 * lam) * (1.0 + lam)
     ref = _assembled_function(g, V, phi, rule)
     for cols, want in ((None, ref), (5, ref[:, [5]]), ([40, 3, 63, 17], ref[:, [40, 3, 63, 17]])):

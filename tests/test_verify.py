@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -77,6 +78,17 @@ def test_check_reports_are_deterministic():
     a = verify.run_check("L2_CONTRACT", cfg)
     b = verify.run_check("L2_CONTRACT", cfg)
     assert a.to_dict(include_runtime=False) == b.to_dict(include_runtime=False)
+
+
+def test_run_check_sets_runtime(monkeypatch):
+    real = verify.CHECKS["COMPOSITION"]
+
+    def slow(cfg):
+        time.sleep(0.05)
+        return real(cfg)
+
+    monkeypatch.setitem(verify.CHECKS, "COMPOSITION", slow)
+    assert verify.run_check("COMPOSITION", small_cfg()).runtime_s >= 0.05
 
 
 def test_interp_check_bound_at_p2():
