@@ -8,7 +8,6 @@ from .semigroup import DenseOperator, dense_schrodinger, fk_kernel_estimate, str
 from .fracpow import (
     TimeQuadrature,
     build_quadrature,
-    dense_green,
     frac_power_apply,
     green_mass_all,
     perturbation_kernel,
@@ -35,7 +34,6 @@ __all__ = [
     "TimeQuadrature",
     "build_quadrature",
     "frac_power_apply",
-    "dense_green",
     "green_mass_all",
     "perturbation_kernel",
     "RieszResult",

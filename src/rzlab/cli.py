@@ -39,7 +39,8 @@ def _report_row(r: verify.CheckReport) -> dict:
         "d": cfg.get("d", ""),
         "n": cfg.get("n", ""),
         "R": f"{cfg.get('R', ''):g}",
-        "potential": cfg.get("potential", ""),
+        # a catalog check names what ran, not cfg.potential, which it ignores
+        "potential": ";".join(cfg["catalog"]) if "catalog" in cfg else cfg.get("potential", ""),
         "p": ";".join(f"{p:g}" for p in cfg.get("p_list", ())),
         "measured": f"{r.measured_value:.12g}",
         "bound": f"{r.bound_value:.12g}",
@@ -200,6 +201,9 @@ def _field_load(args) -> int:
     spec = None
     if header and header[0].startswith("# RZF1"):
         meta = dict(kv.split("=") for kv in header[0].removeprefix("# RZF1").split())
+        missing = [k for k in ("d", "n", "R") if k not in meta]
+        if missing:
+            raise ValueError(f"RZF1 header lacks {', '.join(missing)}: {header[0]!r}")
         spec = GridSpec(int(meta["d"]), int(meta["n"]), float(meta["R"]))
     elif args.d and args.n and args.R:
         spec = GridSpec(args.d, args.n, args.R)

@@ -14,12 +14,11 @@ a geometric u-grid give a rule whose scalar identity
 
 is verified at build time across the operator's spectral range.
 
-Dense companions, all through :func:`semigroup.apply_function`: the
-Green-type kernels of L^(-1) and L^(-1/2) (entries scaled as integral
-kernels, so matrix . (values * h^d) applies the operator), L^power on field
-stacks, and the summary of the perturbation kernel W of
-sqrt(-Delta) L^(-1/2) = I + c2 * W, formed a block of rows at a time.  The
-Green-mass functional is one linear solve.
+The dense companion is :func:`dense_power`, L^power on a field stack
+through :func:`semigroup.apply_function`; for V = 0 it is the
+pseudo-inverse, 0 on the constants.  The summary of the perturbation kernel
+W of sqrt(-Delta) L^(-1/2) = I + c2 * W is formed from it a block of rows
+at a time.  The Green-mass functional is one linear solve.
 """
 
 from __future__ import annotations
@@ -278,17 +277,6 @@ def frac_power_apply(
     return Field(f.spec, out[0])
 
 
-def dense_green(grid: GridSpec, V: Field, power: float) -> np.ndarray:
-    """Green-type kernel matrix of L^power, power in {-1, -1/2}.
-
-    Entries are integral-kernel values: matrix @ (values * h^d) applies
-    the operator.  V = 0 restricts to mean-zero fields (zero mode killed).
-    """
-    if power not in (-1.0, -0.5):
-        raise ValueError(f"power must be -1 or -1/2, got {power}")
-    return dense_power(grid, V, power) / grid.cell_volume
-
-
 def green_mass_all(grid: GridSpec, V: Field) -> np.ndarray:
     """Green mass at every grid point at once, as one linear solve.
 
@@ -310,24 +298,25 @@ class PerturbationKernel:
     max_column_mass: float
 
 
-def _zero_mode_rule(V: Field) -> str:
-    return "zero" if float(V.values.max()) == 0.0 else "apply"
-
-
-def dense_power(grid: GridSpec, V: Field, power: float) -> np.ndarray:
-    """Dense matrix of L^power on value vectors (zero mode killed if V = 0)."""
-    op = semigroup.dense_schrodinger(grid, V)
-    return semigroup.matrix_function(op, lambda lam: lam**power, _zero_mode_rule(V))
-
-
-def dense_power_apply(grid: GridSpec, V: Field, power: float, stack: np.ndarray) -> np.ndarray:
+def dense_power(grid: GridSpec, V: Field, power: float, stack: np.ndarray) -> np.ndarray:
     """L^power applied to a (batch, *grid shape) stack in the eigenbasis.
 
-    Same operator and zero-mode rule as :func:`dense_power`, without
-    forming its N x N matrix.
+    This is the one dense power, and the one place that decides what a
+    power does on the kernel of L: for V = 0, phi is 0 on the zero modes
+    (the pseudo-inverse), so negative powers act on mean-zero fields.
     """
+    if power not in POWERS:
+        raise ValueError(f"power must be one of {POWERS}, got {power}")
     op = semigroup.dense_schrodinger(grid, V)
-    return semigroup.apply_function(op, lambda lam: lam**power, stack, _zero_mode_rule(V))
+    singular = float(V.values.max()) == 0.0
+
+    def phi(lam: np.ndarray) -> np.ndarray:
+        vals = np.zeros_like(lam)
+        keep = ~semigroup.zero_modes(lam) if singular else slice(None)
+        vals[keep] = lam[keep] ** power
+        return vals
+
+    return semigroup.apply_function(op, phi, stack)
 
 
 def perturbation_kernel(grid: GridSpec, V: Field) -> PerturbationKernel:
@@ -346,7 +335,7 @@ def perturbation_kernel(grid: GridSpec, V: Field) -> PerturbationKernel:
     lo, hi, mass = math.inf, 0.0, np.zeros(N)
     for start in range(0, N, semigroup.COLUMN_BLOCK):
         rows = np.arange(start, min(start + semigroup.COLUMN_BLOCK, N))
-        block = dense_power_apply(grid, V, -0.5, col[semigroup._offset_index(grid, rows, axis)])
+        block = dense_power(grid, V, -0.5, col[semigroup._offset_index(grid, rows, axis)])
         block = block.reshape(len(rows), N)
         block[np.arange(len(rows)), rows] -= 1.0
         block /= C2 * grid.cell_volume

@@ -6,10 +6,13 @@ Two algebraically equivalent routes are kept side by side:
 * factored: g = sqrt(-Delta) L^(-1/2) f first, then the classical Riesz
   multiplier per component.
 
-Both share one realization of L^(-1/2), the dense eigenbasis apply of
-:func:`inv_sqrt_apply_stack`, so route disagreement isolates multiplier
-algebra.  A subordinated L^(-1/2) f (:func:`fracpow.frac_power_apply`)
-enters through :func:`riesz_from_inv_sqrt`.
+Both share one realization of L^(-1/2), the dense power
+:func:`fracpow.dense_power`, so route disagreement isolates multiplier
+algebra; for V = 0 it is the pseudo-inverse on mean-zero fields, and V is
+checked against the field's grid as for any other potential.  A
+subordinated L^(-1/2) f (:func:`fracpow.frac_power_apply`) enters through
+:func:`riesz_from_inv_sqrt`.  :func:`classical_riesz` is the V = 0
+transform by multipliers alone, with no dense cap.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fracpow, spectral
-from .grid import Field, GridSpec, lp_norm
+from .grid import Field, lp_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,22 +38,9 @@ def _magnitude(components: tuple[Field, ...]) -> Field:
     return Field(components[0].spec, np.sqrt(sq))
 
 
-def inv_sqrt_apply_stack(grid: GridSpec, V: Field, stack: np.ndarray) -> np.ndarray:
-    """Dense L^(-1/2) on a (batch, *grid shape) stack of fields.
-
-    One eigenbasis pass serves the whole stack; V = 0 uses the multiplier
-    of (-Delta)^(-1/2) on mean-zero fields.
-    """
-    if float(V.values.max()) == 0.0:
-        return spectral.apply_symbol_stack(
-            stack, spectral.inv_sqrt_laplacian().symbol(grid), grid.d
-        )
-    return fracpow.dense_power_apply(grid, V, -0.5, stack)
-
-
 def inv_sqrt_apply(f: Field, V: Field) -> Field:
     """Dense L^(-1/2) f."""
-    return Field(f.spec, inv_sqrt_apply_stack(f.spec, V, f.values[None])[0])
+    return Field(f.spec, fracpow.dense_power(f.spec, V, -0.5, f.values[None])[0])
 
 
 ROUTES = ("direct", "factored")

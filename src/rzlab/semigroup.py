@@ -354,23 +354,6 @@ def zero_modes(lam: np.ndarray) -> np.ndarray:
     return np.abs(lam) <= 1e-9 * max(1.0, float(np.max(np.abs(lam))))
 
 
-def _spectral_values(
-    lam: np.ndarray, phi: Callable[[np.ndarray], np.ndarray], zero_mode_rule: str
-) -> np.ndarray:
-    if zero_mode_rule not in ("zero", "apply"):
-        raise ValueError(f"unknown zero-mode rule {zero_mode_rule!r}")
-    zero_mask = zero_modes(lam)
-    if zero_mode_rule == "zero":
-        vals = np.zeros_like(lam)
-        vals[~zero_mask] = phi(lam[~zero_mask])
-    else:
-        vals = np.asarray(phi(lam), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = lam[~np.isfinite(vals)]
-        raise ValueError(f"matrix function not finite at eigenvalues {bad[:3]}")
-    return vals
-
-
 def _contract(x: np.ndarray, bases: tuple[np.ndarray, ...], to_basis: bool) -> np.ndarray:
     """B^T x (to_basis) or B x over the trailing axes of x, one axis per basis."""
     k = len(bases)
@@ -384,17 +367,20 @@ def apply_function(
     op: DenseOperator,
     phi: Callable[[np.ndarray], np.ndarray],
     stack: np.ndarray,
-    zero_mode_rule: str = "apply",
 ) -> np.ndarray:
     """phi(L) applied to a (batch, *grid shape) stack: B U phi(Lambda) U^T B^T x.
 
     Contracts with the per-axis bases one axis at a time, applies each
     eigen-block on its basis coordinates, and contracts back, so the N x N
-    matrix of phi(L) is never formed.  ``zero_mode_rule`` controls
-    (near-)zero eigenvalues: "zero" forces phi there to 0 (negative powers
-    of a singular operator on mean-zero fields), "apply" evaluates phi.
+    matrix of phi(L) is never formed.  phi is evaluated on every
+    eigenvalue, zero modes included, and a non-finite value raises: what a
+    power does on the kernel of L is decided by its caller,
+    :func:`fracpow.dense_power`.
     """
-    vals = _spectral_values(op.eigenvalues, phi, zero_mode_rule)
+    eig = op.eigenvalues
+    vals = np.asarray(phi(eig), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"matrix function not finite at eigenvalues {eig[~np.isfinite(vals)][:3]}")
     ends = np.cumsum([len(lam) for lam, _, _ in op.blocks])
     shape = (len(stack), *op.grid.shape)
     x = _contract(stack.reshape(shape), op.bases, to_basis=True).reshape(len(stack), -1)
@@ -407,7 +393,6 @@ def apply_function(
 def matrix_function(
     op: DenseOperator,
     phi: Callable[[np.ndarray], np.ndarray],
-    zero_mode_rule: str = "apply",
     cols: int | list[int] | np.ndarray | None = None,
 ) -> np.ndarray:
     """Columns ``cols`` (all N by default) of phi(L) as an N x len(cols) matrix.
@@ -420,7 +405,7 @@ def matrix_function(
     idx = np.arange(N) if cols is None else np.atleast_1d(cols)
     unit = np.zeros((len(idx), N))
     unit[np.arange(len(idx)), idx] = 1.0
-    out = apply_function(op, phi, unit.reshape(len(idx), *op.grid.shape), zero_mode_rule)
+    out = apply_function(op, phi, unit.reshape(len(idx), *op.grid.shape))
     return out.reshape(len(idx), N).T
 
 
@@ -448,14 +433,18 @@ def fk_kernel_estimate(
     Paths are split into fixed-size chunks with per-chunk seeds derived
     from (seed, chunk index).  Returns (estimate, standard error).
     """
-    if t <= 0:
-        raise ValueError(f"time must be > 0, got {t}")
+    if not (0 < t < math.inf):
+        raise ValueError(f"time must be finite and > 0, got {t}")
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
+    if slices < 1:
+        raise ValueError(f"slices must be >= 1, got {slices}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:
         raise ValueError("endpoints must have the same dimension")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError(f"endpoints must be finite, got x={x.tolist()} y={y.tolist()}")
     prefactor = heat_kernel_free(x, y, t)
     if V.tag == "zero":
         return prefactor, 0.0

@@ -252,7 +252,7 @@ def _stack(fields: list[Field]) -> np.ndarray:
 
 def half_factor_apply_stack(grid: GridSpec, V: Field, stack: np.ndarray) -> np.ndarray:
     """sqrt(-Delta) L^(-1/2) applied to a stack of fields (dense + FFT)."""
-    half = riesz.inv_sqrt_apply_stack(grid, V, stack)
+    half = fracpow.dense_power(grid, V, -0.5, stack)
     return spectral.apply_symbol_stack(half, spectral.sqrt_laplacian().symbol(grid), grid.d)
 
 
@@ -322,13 +322,14 @@ def check_domination(cfg: RunConfig) -> CheckReport:
 
 
 def check_composition(cfg: RunConfig) -> CheckReport:
-    """Half-power kernel composed with itself reproduces the full inverse."""
+    """L^(-1/2) composed with itself reproduces L^(-1), as N x N matrices."""
     grid = cfg.grid()
     V = potentials.discretize_potential(parse_potential(cfg.potential), grid)
-    g_half = fracpow.dense_green(grid, V, -0.5)
-    g_full = fracpow.dense_green(grid, V, -1.0)
-    lhs = g_half @ g_half * grid.cell_volume
-    err = float(np.linalg.norm(lhs - g_full) / np.linalg.norm(g_full))
+    N = grid.num_points
+    unit = np.eye(N).reshape(N, *grid.shape)
+    half, full = (fracpow.dense_power(grid, V, power, unit).reshape(N, N).T
+                  for power in (-0.5, -1.0))
+    err = float(np.linalg.norm(half @ half - full) / np.linalg.norm(full))
     tol = 1e-10
     verdict = "pass" if err <= tol else "fail"
     return _report("COMPOSITION", _cfg_note(cfg), {"rel_frobenius_err": err},
@@ -484,7 +485,7 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
         V = potentials.discretize_potential(pot, grid)
         fields = trial_family(grid, rng, cfg.theorem_trials, mean_zero=True)
         trials_by_d[d] = len(fields)
-        halves = riesz.inv_sqrt_apply_stack(grid, V, _stack(fields))
+        halves = fracpow.dense_power(grid, V, -0.5, _stack(fields))
         factor_margin = -math.inf
         vector_ratios = {p: [] for p in ps}
         subset = []  # dense results of the quadrature cross-check's fields
@@ -619,7 +620,7 @@ def check_vhalf(cfg: RunConfig) -> CheckReport:
         grid = cfg.grid(d=d)
         V = potentials.discretize_potential(pot, grid)
         fields = trial_family(grid, rng, 24, mean_zero=True)
-        outs = np.sqrt(V.values) * riesz.inv_sqrt_apply_stack(grid, V, _stack(fields))
+        outs = np.sqrt(V.values) * fracpow.dense_power(grid, V, -0.5, _stack(fields))
         for p in ps:
             vals = [lp_norm(Field(grid, o), p) / lp_norm(f, p) for f, o in zip(fields, outs)]
             per[f"d{d}_p{p:g}"] = float(max(vals))
@@ -804,7 +805,7 @@ def check_quad_vs_dense(cfg: RunConfig) -> CheckReport:
             srange = fracpow.spectral_bounds(grid, V)
             for power in fracpow.POWERS:
                 quad = fracpow.build_quadrature(power, srange, tol=cfg.quad_tol)
-                ref = fracpow.dense_power_apply(grid, V, power, stack)
+                ref = fracpow.dense_power(grid, V, power, stack)
                 got, est = fracpow.subordinated_apply_stack(
                     stack, V.values, grid, power, quad, tau0=cfg.tau0
                 )

@@ -114,6 +114,9 @@ def test_kernel_fk_runs(capsys):
     ("--t", "-1"),
     ("--x", "0,0", "--y", "0"),  # endpoints of different dimensions
     ("--x", "abc"),
+    ("--slices", "0"),
+    ("--x", "nan"),
+    ("--t", "inf"),
 ])
 def test_kernel_bad_input_exit_2_with_one_line(argv, capsys):
     rc = run_cli("kernel", "--fk", *argv)
@@ -127,7 +130,8 @@ def test_kernel_bad_input_exit_2_with_one_line(argv, capsys):
     ("load", "x1,value\n" + "0,1.0\n" * 15 + "0,abc\n", ("--d", "1", "--n", "16", "--R", "4")),
     ("load", "# RZF1 d=1 n=5 R=4.0\nx1,value\n" + "0,1.0\n" * 5, ()),
     ("dump", "x1,value\n0,1.0\n", ()),  # not an RZF1 file
-], ids=["non-numeric", "odd-n-header", "not-rzf1"])
+    ("load", "# RZF1 d=1 n=16\nx1,value\n" + "0,1.0\n" * 16, ()),
+], ids=["non-numeric", "odd-n-header", "not-rzf1", "header-lacks-R"])
 def test_field_bad_input_exit_2_with_one_line(action, content, flags, tmp_path, capsys):
     src = tmp_path / "in.dat"
     src.write_text(content)
@@ -275,3 +279,15 @@ def test_bad_settings_exit_2_with_one_line(flags, config, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("rzlab: error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_catalog_check_csv_names_the_potentials_it_ran(tmp_path):
+    out = tmp_path / "rep"
+    rc = run_cli("check", "L2_CONTRACT", "--d", "1", "--n", "16", "--trials", "4",
+                 "--potential", "ce3", "--out", str(out))
+    assert rc == 0
+    row = next(csv.DictReader(open(out / "reports.csv")))
+    config = json.loads((out / "reports.json").read_text())[0]["config"]
+    assert config["potential"] == "ce3"  # JSON keeps cfg.potential next to the catalog
+    assert row["potential"] == ";".join(config["catalog"])
+    assert row["potential"].split(";")[:3] == ["zero", "const(2)", "harmonic"]

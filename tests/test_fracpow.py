@@ -14,6 +14,12 @@ def mean_zero_field(g, seed=0):
     return Field(g, v / np.linalg.norm(v))
 
 
+def dense_matrix(g, V, power):
+    """N x N matrix of L^power: fracpow.dense_power on the unit fields."""
+    N = g.num_points
+    return fracpow.dense_power(g, V, power, np.eye(N).reshape(N, *g.shape)).reshape(N, N).T
+
+
 def test_constants():
     assert fracpow.C1 == pytest.approx(0.5641895835477563, rel=1e-15)
     assert fracpow.C2 == pytest.approx(-0.28209479177387814, rel=1e-15)
@@ -83,8 +89,7 @@ def test_frac_power_matches_dense_oracle(power):
     f = mean_zero_field(g, 2)
     V = potentials.discretize_potential(potentials.harmonic(), g)
     out = fracpow.frac_power_apply(f, V, power)
-    mat = fracpow.dense_power(g, V, power)
-    ref = mat @ f.flat()
+    ref = fracpow.dense_power(g, V, power, f.values[None])[0].ravel()
     assert np.linalg.norm(out.flat() - ref) <= 1e-4 * np.linalg.norm(ref)
 
 
@@ -105,7 +110,7 @@ def test_step_controller_halves_the_strang_work(monkeypatch):
 
     monkeypatch.setattr(semigroup, "evolve_stack", counting)
     got, est = fracpow.subordinated_apply_stack(stack, V.values, g, -1.0, quad)
-    ref = fracpow.dense_power_apply(g, V, -1.0, stack)
+    ref = fracpow.dense_power(g, V, -1.0, stack)
     err = np.linalg.norm((got - ref).reshape(8, -1), axis=1) / np.linalg.norm(
         ref.reshape(8, -1), axis=1
     )
@@ -127,10 +132,8 @@ def test_embedded_estimate_vanishes_for_constant_potential():
 def test_dense_green_composition():
     g = GridSpec(1, 64, 4.0)
     V = potentials.discretize_potential(potentials.harmonic(), g)
-    g_half = fracpow.dense_green(g, V, -0.5)
-    g_full = fracpow.dense_green(g, V, -1.0)
-    lhs = g_half @ g_half * g.cell_volume
-    assert np.linalg.norm(lhs - g_full) <= 1e-10 * np.linalg.norm(g_full)
+    half, full = dense_matrix(g, V, -0.5), dense_matrix(g, V, -1.0)
+    assert np.linalg.norm(half @ half - full) <= 1e-10 * np.linalg.norm(full)
 
 
 def test_dense_green_nonnegative_and_dominated():
@@ -139,7 +142,7 @@ def test_dense_green_nonnegative_and_dominated():
     # kernels int_0^T: the statement the semigroup comparison integrates.
     g = GridSpec(1, 32, 4.0)
     V = potentials.discretize_potential(potentials.harmonic(), g)
-    g_v = fracpow.dense_green(g, V, -1.0)
+    g_v = dense_matrix(g, V, -1.0) / g.cell_volume
     assert g_v.min() >= -1e-8 * np.abs(g_v).max()
 
     V0 = potentials.discretize_potential(potentials.zero(), g)
@@ -161,7 +164,7 @@ def test_dense_green_constant_potential():
     g = GridSpec(1, 32, 4.0)
     c = 2.0
     V = potentials.discretize_potential(potentials.const(c), g)
-    G = fracpow.dense_green(g, V, -1.0)
+    G = dense_matrix(g, V, -1.0) / g.cell_volume
     ones = np.ones(g.num_points)
     applied = G @ (ones * g.cell_volume)
     np.testing.assert_allclose(applied, 1.0 / c, rtol=1e-10)
@@ -190,7 +193,7 @@ def test_green_mass_random_potentials_bounded():
 def test_green_mass_matches_materialized_kernel():
     g = GridSpec(2, 8, 4.0)
     V = potentials.discretize_potential(potentials.ce3(), g)
-    G = fracpow.dense_green(g, V, -1.0)
+    G = dense_matrix(g, V, -1.0) / g.cell_volume
     want = (V.flat() @ G) * g.cell_volume
     got = fracpow.green_mass_all(g, V)
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -203,7 +206,7 @@ def test_green_mass_matches_materialized_kernel():
 def test_green_mass_solve_matches_eigenbasis_inverse(d, n, pot):
     g = GridSpec(d, n, 4.0)
     V = potentials.discretize_potential(pot, g)
-    want = fracpow.dense_power_apply(g, V, -1.0, V.values[None])[0].ravel()
+    want = fracpow.dense_power(g, V, -1.0, V.values[None])[0].ravel()
     got = fracpow.green_mass_all(g, V)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -253,12 +256,34 @@ def test_perturbation_kernel_matches_assembled_reference(d, n, pot, layout):
         V = potentials.discretize_potential(pot, g)
     op = semigroup.dense_schrodinger(g, V)
     assert (len(op.bases), len(op.blocks)) == layout
-    A = semigroup.multiplier_matrix(g, spectral.sqrt_laplacian()) @ fracpow.dense_power(g, V, -0.5)
+    A = semigroup.multiplier_matrix(g, spectral.sqrt_laplacian()) @ dense_matrix(g, V, -0.5)
     ref = (A - np.eye(g.num_points)) / (fracpow.C2 * g.cell_volume)
     W = fracpow.perturbation_kernel(g, V)
     want = (ref.min(), np.abs(ref).max(), ref.sum(axis=0).max() * g.cell_volume)
     got = (W.min_entry, W.max_abs_entry, W.max_column_mass)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+def test_dense_power_zero_potential_is_the_catalog_multiplier(d, n):
+    # V = 0: the pseudo-inverse on mean-zero fields, 0 on the constants
+    g = GridSpec(d, n, 4.0)
+    V = potentials.discretize_potential(potentials.zero(), g)
+    x = np.random.default_rng(d).standard_normal((3, *g.shape))
+    x -= x.mean(axis=tuple(range(1, d + 1)), keepdims=True)
+    for power, m in ((-0.5, spectral.inv_sqrt_laplacian()), (-1.0, spectral.inv_laplacian()),
+                     (0.5, spectral.sqrt_laplacian())):
+        got = fracpow.dense_power(g, V, power, x)
+        want = spectral.apply_symbol_stack(x, m.symbol(g), d)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(fracpow.dense_power(g, V, -0.5, np.ones((1, *g.shape))))) <= 1e-12
+
+
+def test_dense_power_rejects_unknown_power():
+    g = GridSpec(1, 16, 4.0)
+    V = potentials.discretize_potential(potentials.harmonic(), g)
+    with pytest.raises(ValueError, match="power must be one of"):
+        fracpow.dense_power(g, V, 1.5, np.ones((1, *g.shape)))
 
 
 def test_spectral_bounds_with_and_without_dense(monkeypatch):

@@ -105,7 +105,7 @@ def test_stacked_inv_sqrt_matches_per_field(g2, pot):
     V = potentials.discretize_potential(pot, g2)
     rng = np.random.default_rng(10)
     fields = [bandlimited_field(g2, rng) for _ in range(4)]
-    halves = riesz.inv_sqrt_apply_stack(g2, V, np.stack([f.values for f in fields]))
+    halves = fracpow.dense_power(g2, V, -0.5, np.stack([f.values for f in fields]))
     for f, h in zip(fields, halves):
         want = riesz.inv_sqrt_apply(f, V)
         np.testing.assert_allclose(h, want.values, rtol=0, atol=1e-12 * np.abs(want.values).max())
@@ -115,6 +115,15 @@ def test_stacked_inv_sqrt_matches_per_field(g2, pot):
             for a, b in zip(got.components, ref.components):
                 np.testing.assert_allclose(a.values, b.values, rtol=0,
                                            atol=1e-12 * np.abs(b.values).max())
+
+
+@pytest.mark.parametrize("pot", [potentials.zero(), potentials.harmonic()], ids=lambda p: p.tag)
+def test_potential_on_another_grid_rejected(g2, pot):
+    # V = 0 is checked against the field's grid like any other potential
+    f = bandlimited_field(g2, np.random.default_rng(11))
+    V = potentials.discretize_potential(pot, GridSpec(2, 8, 4.0))
+    with pytest.raises(ValueError, match="grid does not match"):
+        riesz.schrodinger_riesz(f, V)
 
 
 def test_unknown_route_rejected(g2, harm):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -194,10 +195,22 @@ def test_matrix_function_identity(g1):
     assert np.max(np.abs(recon - mat)) <= 1e-8 * np.max(np.abs(mat))
 
 
+def _off_kernel(phi):
+    """phi, set to 0 on L's zero modes: the V = 0 rule of fracpow.dense_power."""
+
+    def masked(lam):
+        vals = np.zeros_like(lam)
+        keep = ~semigroup.zero_modes(lam)
+        vals[keep] = phi(lam[keep])
+        return vals
+
+    return masked
+
+
 def test_matrix_function_inv_sqrt_matches_multiplier(g1):
     V = potentials.discretize_potential(potentials.zero(), g1)
     op = semigroup.dense_schrodinger(g1, V)
-    got = semigroup.matrix_function(op, lambda lam: lam**-0.5, "zero")
+    got = semigroup.matrix_function(op, _off_kernel(lambda lam: lam**-0.5))
     want = semigroup.multiplier_matrix(g1, spectral.inv_sqrt_laplacian())
     assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -206,21 +219,29 @@ def test_matrix_function_rejects_nonfinite(g1):
     V = potentials.discretize_potential(potentials.zero(), g1)
     op = semigroup.dense_schrodinger(g1, V)
     with pytest.raises(ValueError, match="not finite"):
-        semigroup.matrix_function(
-            op, lambda lam: np.where(lam > 1.0, np.inf, lam), "apply"
-        )
+        semigroup.matrix_function(op, lambda lam: np.where(lam > 1.0, np.inf, lam))
+
+
+def test_apply_function_evaluates_phi_on_the_zero_mode(g1):
+    # No zero-mode rule: lam^(-1/2) at V = 0 meets the zero eigenvalue.  Its
+    # computed value is a rounding residue of either sign, so it is set to
+    # exactly 0 here, where lam^(-1/2) is inf.
+    V = potentials.discretize_potential(potentials.zero(), g1)
+    op = semigroup.dense_schrodinger(g1, V)
+    (lam, u, idx), = op.blocks
+    exact = dataclasses.replace(op, blocks=((np.where(semigroup.zero_modes(lam), 0.0, lam), u, idx),))
+    x = random_field(g1).values[None]
+    with pytest.raises(ValueError, match="not finite"), np.errstate(divide="ignore"):
+        semigroup.apply_function(exact, lambda lam: lam**-0.5, x)
 
 
 SEPARABLE = [potentials.zero(), potentials.const(2.0), potentials.harmonic()]
 
 
-def _assembled_function(g, V, phi, rule):
+def _assembled_function(g, V, phi):
     """phi(L) by eigh of the assembled N x N matrix, the unfactored reference."""
     lam, q = np.linalg.eigh(semigroup.schrodinger_matrix(g, V.values))
-    vals = np.zeros_like(lam)
-    keep = ~semigroup.zero_modes(lam) if rule == "zero" else np.ones(lam.shape, bool)
-    vals[keep] = phi(lam[keep])
-    return (q * vals) @ q.T
+    return (q * phi(lam)) @ q.T
 
 
 @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
@@ -232,14 +253,13 @@ def test_separable_factors_match_assembled_eigh(d, n, pot):
     # per-axis eigenvectors, and the Kronecker-sum eigenvalues as one diagonal block
     assert [q.shape for q in op.bases] == [(n, n)] * d
     assert [(len(lam), u, idx) for lam, u, idx in op.blocks] == [(g.num_points, None, slice(None))]
-    rule = "zero" if pot.tag == "zero" else "apply"
     x = np.random.default_rng(d * n).standard_normal((3, *g.shape))
     x -= x.mean(axis=tuple(range(1, d + 1)), keepdims=True)
-    for phi in (lambda lam: np.exp(-0.3 * lam), lambda lam: lam**-0.5):
-        ref = _assembled_function(g, V, phi, rule)
-        got = semigroup.matrix_function(op, phi, rule)
+    for phi in (lambda lam: np.exp(-0.3 * lam), _off_kernel(lambda lam: lam**-0.5)):
+        ref = _assembled_function(g, V, phi)
+        got = semigroup.matrix_function(op, phi)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-        applied = semigroup.apply_function(op, phi, x, rule).reshape(3, -1)
+        applied = semigroup.apply_function(op, phi, x).reshape(3, -1)
         want = x.reshape(3, -1) @ ref
         assert np.linalg.norm(applied - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -304,7 +324,7 @@ def test_reflection_asymmetric_potential_takes_one_factor(case):
     assert op.bases == () and [len(lam) for lam, _, _ in op.blocks] == [g.num_points]
 
 
-@pytest.mark.parametrize("rule", ["zero", "apply"])
+@pytest.mark.parametrize("rule", ["zero", "apply"])  # phi off the kernel, or phi everywhere
 @pytest.mark.parametrize(
     "pot,layout",
     [(potentials.zero(), (2, 1)), (potentials.harmonic(), (2, 1)),
@@ -320,9 +340,11 @@ def test_matrix_function_columns_match_assembled_eigh(pot, layout, rule):
     op = semigroup.dense_schrodinger(g, V)
     assert (len(op.bases), len(op.blocks)) == layout
     phi = lambda lam: np.exp(-0.3 * lam) * (1.0 + lam)
-    ref = _assembled_function(g, V, phi, rule)
+    if rule == "zero":
+        phi = _off_kernel(phi)
+    ref = _assembled_function(g, V, phi)
     for cols, want in ((None, ref), (5, ref[:, [5]]), ([40, 3, 63, 17], ref[:, [40, 3, 63, 17]])):
-        got = semigroup.matrix_function(op, phi, rule, cols=cols)
+        got = semigroup.matrix_function(op, phi, cols=cols)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
