@@ -41,7 +41,8 @@ def _report_row(r: verify.CheckReport) -> dict:
         "R": f"{cfg.get('R', ''):g}",
         # a catalog check names what ran, not cfg.potential, which it ignores
         "potential": ";".join(cfg["catalog"]) if "catalog" in cfg else cfg.get("potential", ""),
-        "p": ";".join(f"{p:g}" for p in cfg.get("p_list", ())),
+        # the exponents the check ran, empty for a check whose note records none
+        "p": ";".join(f"{p:g}" for p in cfg.get("p_values", ())),
         "measured": f"{r.measured_value:.12g}",
         "bound": f"{r.bound_value:.12g}",
         "tolerance": f"{r.tolerance:.12g}",

@@ -140,14 +140,34 @@ def lp_norm(f: Field, p: float, region=None) -> float:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    vals = np.abs(f.values)
+    vals = f.values
     if region is not None:
         mask = _region_mask(f.spec, region)
         if not mask.any():
             warnings.warn("lp_norm over an empty region", stacklevel=2)
             return 0.0
         vals = vals[mask]
-    return float((vals**p).sum() * f.spec.cell_volume) ** (1.0 / p)
+    return float(lp_norms(vals.reshape(1, -1), f.spec, p)[0])
+
+
+def lp_norms(stack: np.ndarray, spec: GridSpec, p: float) -> np.ndarray:
+    """Riemann-sum L^p norm of each field of a (batch, *grid shape) stack.
+
+    The one p-norm formula: a field's |f|^p summed pairwise by numpy, times
+    h^d, then the p-th root of that Python float.
+    """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    sums = (np.abs(stack) ** p).reshape(len(stack), -1).sum(axis=1) * spec.cell_volume
+    return np.array([float(s) ** (1.0 / p) for s in sums])
+
+
+def lp_ratios(num: np.ndarray, den: np.ndarray, spec: GridSpec, p: float) -> np.ndarray:
+    """Per-field ||num_i||_p / ||den_i||_p; a zero field in ``den`` raises."""
+    bottom = lp_norms(den, spec, p)
+    if not np.all(bottom > 0):
+        raise ValueError("zero input field")
+    return lp_norms(num, spec, p) / bottom
 
 
 # Samples per block of nested_lp_norms: its memory stays a few arrays of

@@ -1,18 +1,19 @@
-"""Riesz transforms attached to L = -Delta + V.
+"""Riesz transforms attached to L = -Delta + V, on (batch, *grid shape) stacks.
 
 Two algebraically equivalent routes are kept side by side:
 
 * direct:   component j is Deriv(j) applied to L^(-1/2) f;
-* factored: g = sqrt(-Delta) L^(-1/2) f first, then the classical Riesz
+* factored: g = sqrt(-Delta) L^(-1/2) f first (:func:`factor_from_inv_sqrt`,
+  the one implementation of that factor), then the classical Riesz
   multiplier per component.
 
-Both share one realization of L^(-1/2), the dense power
-:func:`fracpow.dense_power`, so route disagreement isolates multiplier
-algebra; for V = 0 it is the pseudo-inverse on mean-zero fields, and V is
-checked against the field's grid as for any other potential.  A
-subordinated L^(-1/2) f (:func:`fracpow.frac_power_apply`) enters through
-:func:`riesz_from_inv_sqrt`.  :func:`classical_riesz` is the V = 0
-transform by multipliers alone, with no dense cap.
+:func:`riesz_from_inv_sqrt` takes L^(-1/2) f from either the dense power
+:func:`fracpow.dense_power` (for V = 0 the pseudo-inverse on mean-zero
+fields) or the subordinated route, so route disagreement isolates
+multiplier algebra.  :func:`schrodinger_riesz` is its one-field entry point
+on the dense power, which checks V against the field's grid.
+:func:`classical_riesz` is the V = 0 transform by multipliers alone, with
+no dense cap.
 """
 
 from __future__ import annotations
@@ -22,73 +23,59 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fracpow, spectral
-from .grid import Field, lp_norm
+from .grid import Field, GridSpec
 
 
 @dataclass(frozen=True, eq=False)
 class RieszResult:
-    components: tuple[Field, ...]
-    magnitude: Field
+    components: np.ndarray  # (batch, d, *grid shape)
+    magnitude: np.ndarray  # (batch, *grid shape): pointwise l2 norm of the components
     route: str
-    companion: Field | None = None  # g = sqrt(-Delta) L^(-1/2) f on the factored route
-
-
-def _magnitude(components: tuple[Field, ...]) -> Field:
-    sq = sum(c.values**2 for c in components)
-    return Field(components[0].spec, np.sqrt(sq))
-
-
-def inv_sqrt_apply(f: Field, V: Field) -> Field:
-    """Dense L^(-1/2) f."""
-    return Field(f.spec, fracpow.dense_power(f.spec, V, -0.5, f.values[None])[0])
+    companion: np.ndarray | None = None  # g = sqrt(-Delta) L^(-1/2) f on the factored route
 
 
 ROUTES = ("direct", "factored")
 
 
-def schrodinger_riesz(f: Field, V: Field, *, route: str = "factored") -> RieszResult:
-    """All d Riesz components of f with their pointwise l2 magnitude."""
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}")
-    return riesz_from_inv_sqrt(inv_sqrt_apply(f, V), route=route)
+def _vector(stack: np.ndarray, grid: GridSpec, multiplier, route: str,
+            companion: np.ndarray | None = None) -> RieszResult:
+    """multiplier(j), j = 1..d, applied to each field, with the l2 magnitude."""
+    symbols = np.stack([multiplier(j).symbol(grid) for j in range(1, grid.d + 1)])
+    comps = spectral.apply_symbol_stack(stack[:, None], symbols, grid.d)
+    return RieszResult(components=comps, magnitude=np.sqrt((comps**2).sum(axis=1)),
+                       route=route, companion=companion)
 
 
-def riesz_from_inv_sqrt(half: Field, *, route: str = "factored") -> RieszResult:
-    """Riesz components of f given half = L^(-1/2) f, by the chosen route."""
+def factor_from_inv_sqrt(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """g = sqrt(-Delta) L^(-1/2) f for each field, given half = L^(-1/2) f."""
+    return spectral.apply_symbol_stack(half, spectral.sqrt_laplacian().symbol(grid), grid.d)
+
+
+def riesz_from_inv_sqrt(half: np.ndarray, grid: GridSpec, *,
+                        route: str = "factored") -> RieszResult:
+    """Riesz vectors of a stack given half = L^(-1/2) f, by the chosen route."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    d = half.spec.d
     if route == "direct":
-        comps = tuple(
-            spectral.apply_multiplier(half, spectral.derivative(j)) for j in range(1, d + 1)
-        )
-        companion = None
-    else:
-        companion = spectral.apply_multiplier(half, spectral.sqrt_laplacian())
-        comps = tuple(
-            spectral.apply_multiplier(companion, spectral.riesz(j)) for j in range(1, d + 1)
-        )
-    return RieszResult(
-        components=comps, magnitude=_magnitude(comps), route=route, companion=companion
-    )
+        return _vector(half, grid, spectral.derivative, route)
+    g = factor_from_inv_sqrt(half, grid)
+    return _vector(g, grid, spectral.riesz, route, companion=g)
 
 
-def classical_riesz(f: Field) -> RieszResult:
-    """Classical Riesz vector (V = 0 multipliers) with magnitude."""
-    comps = tuple(
-        spectral.apply_multiplier(f, spectral.riesz(j)) for j in range(1, f.spec.d + 1)
-    )
-    return RieszResult(components=comps, magnitude=_magnitude(comps), route="classical")
+def classical_riesz(stack: np.ndarray, grid: GridSpec) -> RieszResult:
+    """Classical Riesz vectors (V = 0 multipliers) of a stack, with magnitudes."""
+    return _vector(stack, grid, spectral.riesz, "classical")
+
+
+def schrodinger_riesz(f: Field, V: Field, *, route: str = "factored") -> RieszResult:
+    """All d Riesz components of one field (a batch of one) with their l2 magnitude."""
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}")
+    return riesz_from_inv_sqrt(fracpow.dense_power(f.spec, V, -0.5, f.values[None]), f.spec,
+                               route=route)
 
 
 def sqrt_potential_inv_sqrt(f: Field, V: Field) -> Field:
     """Pointwise sqrt(V) times L^(-1/2) f."""
-    return Field(f.spec, np.sqrt(V.values) * inv_sqrt_apply(f, V).values)
-
-
-def vector_ratio(result: RieszResult, f: Field, p: float) -> float:
-    """||magnitude||_p / ||f||_p on the shared grid."""
-    denom = lp_norm(f, p)
-    if denom == 0:
-        raise ValueError("zero input field")
-    return lp_norm(result.magnitude, p) / denom
+    half = fracpow.dense_power(f.spec, V, -0.5, f.values[None])[0]
+    return Field(f.spec, np.sqrt(V.values) * half)

@@ -5,6 +5,9 @@ its fractional powers, coordinate derivatives, and the classical Riesz
 transforms.  All act as pointwise symbols m(xi) in frequency, with
 xi = (pi/R) * k per axis, k integer in [-n/2, n/2).
 
+:func:`apply_symbol_stack` is the one FFT multiplier, with a residue check
+per field; :func:`apply_multiplier` is that call on one field.
+
 Conventions: negative powers and Riesz multipliers send the mean mode to
 zero.  Odd symbols (Deriv, Riesz) also vanish on their axis Nyquist plane
 k_j = -n/2, which has no conjugate partner on an even grid; keeping the
@@ -131,26 +134,26 @@ def _odd_axis_freq(spec: GridSpec, axis0: int) -> np.ndarray:
 
 
 def apply_multiplier(f: Field, m: MultiplierSpec) -> Field:
-    """Apply a catalog multiplier: FFT, pointwise symbol, inverse FFT.
-
-    The output must be real to round-off; a relative imaginary residue
-    above 1e-10 signals an internal inconsistency and raises.
-    """
-    out = np.fft.ifftn(np.fft.fftn(f.values) * m.symbol(f.spec))
-    scale = max(float(np.max(np.abs(out.real))), float(np.max(np.abs(f.values))), 1e-300)
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > 1e-10 * scale:
-        raise TransformResidueError(
-            f"multiplier {m.tag} left imaginary residue {residue:.3e} (scale {scale:.3e})"
-        )
-    return Field(f.spec, np.ascontiguousarray(out.real))
+    """Apply a catalog multiplier to one field (see :func:`apply_symbol_stack`)."""
+    return Field(f.spec, apply_symbol_stack(f.values, m.symbol(f.spec), f.spec.d))
 
 
 def apply_symbol_stack(stack: np.ndarray, symbol: np.ndarray, d: int) -> np.ndarray:
-    """Apply one symbol to a (..., n, ..., n) stack of real fields.
+    """FFT, pointwise symbol, inverse FFT over the last d axes of a real stack.
 
-    Internal fast path shared by the semigroup and subordination loops;
-    returns the real part without residue checking.
+    The symbol broadcasts: (k, *grid) symbols on a (batch, 1, *grid) stack
+    give (batch, k, *grid).  Each output field must be real to round-off; an
+    imaginary residue above 1e-10 of its own scale (max |out.real|, max
+    |input|) signals an internal inconsistency and raises.
     """
     axes = tuple(range(stack.ndim - d, stack.ndim))
-    return np.fft.ifftn(np.fft.fftn(stack, axes=axes) * symbol, axes=axes).real
+    out = np.fft.ifftn(np.fft.fftn(stack, axes=axes) * symbol, axes=axes)
+    residue = np.abs(out.imag).max(axis=axes)
+    scale = np.maximum(np.abs(out.real).max(axis=axes), np.abs(stack).max(axis=axes))
+    bad = residue > 1e-10 * np.maximum(scale, 1e-300)
+    if np.any(bad):
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise TransformResidueError(
+            f"symbol left imaginary residue {residue[i]:.3e} (scale {scale[i]:.3e})"
+        )
+    return out.real

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import counterexamples, fracpow, potentials, riesz, semigroup, spectral
-from .grid import Field, GridSpec, lp_norm, weak_l1
+from .grid import Field, GridSpec, lp_norm, lp_ratios, weak_l1
 
 DENSE_TOL = 1e-6
 QUAD_TOL = 1e-3
@@ -250,20 +250,20 @@ def _stack(fields: list[Field]) -> np.ndarray:
     return np.stack([f.values for f in fields])
 
 
-def half_factor_apply_stack(grid: GridSpec, V: Field, stack: np.ndarray) -> np.ndarray:
-    """sqrt(-Delta) L^(-1/2) applied to a stack of fields (dense + FFT)."""
-    half = fracpow.dense_power(grid, V, -0.5, stack)
-    return spectral.apply_symbol_stack(half, spectral.sqrt_laplacian().symbol(grid), grid.d)
-
-
 def _field_norms(stack: np.ndarray) -> np.ndarray:
     """l2 norm of each field of a (batch, *grid shape) stack."""
     return np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
 
 
-def _components_l2(arrays) -> float:
-    """l2 norm of a vector field given as its component arrays."""
-    return math.sqrt(sum(float(np.sum(a**2)) for a in arrays))
+def _field_max(stack: np.ndarray) -> np.ndarray:
+    """max |value| of each field (or vector field) of a stack."""
+    return np.abs(stack).reshape(len(stack), -1).max(axis=1)
+
+
+def _components_l2(comps: np.ndarray) -> np.ndarray:
+    """l2 norm of each vector field of a (batch, d, *grid shape) stack."""
+    sums = (comps**2).reshape(*comps.shape[:2], -1).sum(axis=2)
+    return np.array([math.sqrt(sum(row)) for row in sums.tolist()])
 
 
 def _interp_bound(p: float) -> float:
@@ -370,7 +370,7 @@ def check_l2_contract(cfg: RunConfig) -> CheckReport:
     catalog = potentials.standard_catalog(grid.d)
     for pot in catalog:
         V = potentials.discretize_potential(pot, grid)
-        out = half_factor_apply_stack(grid, V, stack)
+        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(grid, V, -0.5, stack), grid)
         ratios = np.linalg.norm(out.reshape(len(out), -1), axis=1) / norms
         per[pot.label()] = float(ratios.max())
         worst = max(worst, per[pot.label()])
@@ -391,7 +391,7 @@ def check_l1_bound(cfg: RunConfig) -> CheckReport:
         fields = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
         stack = _stack(fields)
         V = potentials.discretize_potential(pot, grid)
-        out = half_factor_apply_stack(grid, V, stack)
+        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(grid, V, -0.5, stack), grid)
         num = np.abs(out.reshape(len(out), -1)).sum(axis=1)
         den = np.abs(stack.reshape(len(stack), -1)).sum(axis=1)
         per[pot.label()] = float((num / den).max())
@@ -442,7 +442,7 @@ def check_interp(cfg: RunConfig) -> CheckReport:
         fields = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
         stack = _stack(fields)
         V = potentials.discretize_potential(pot, grid)
-        out = half_factor_apply_stack(grid, V, stack)
+        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(grid, V, -0.5, stack), grid)
         for p in ps:
             num = (np.abs(out.reshape(len(out), -1)) ** p).sum(axis=1) ** (1 / p)
             den = (np.abs(stack.reshape(len(stack), -1)) ** p).sum(axis=1) ** (1 / p)
@@ -460,6 +460,13 @@ def check_interp(cfg: RunConfig) -> CheckReport:
     return _report("INTERP", note, per, "interp_ratio", bound, ratio, QUAD_TOL, verdict)
 
 
+# THEOREM reduces the Riesz vectors of this many fields to numbers before
+# it forms the next block's, so its memory does not grow with theorem_trials:
+# the whole d = 3 stack as one block peaked at 120 MB, blocks of 16 at 88 MB.
+THEOREM_BLOCK = 4
+QUAD_FIELDS = 3  # THEOREM's quadrature cross-check runs on the first fields
+
+
 def check_theorem(cfg: RunConfig) -> CheckReport:
     """Per-function chain for the vector transform bound across d = 1, 2, 3.
 
@@ -474,74 +481,54 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
     dims = (1, 2, 3)
     ps = tuple(cfg.p_list)
 
-    per_d = {}
     classical_max = {p: -math.inf for p in ps}
-    route_err = -math.inf
-    quad_route_err = -math.inf
-    quad_split_est = -math.inf
+    vector_max = {d: {p: -math.inf for p in ps} for d in dims}
+    route_err = quad_route_err = quad_split_est = worst_factor = -math.inf
     trials_by_d = {}
     for d in dims:
         grid = cfg.grid(d=d)
         V = potentials.discretize_potential(pot, grid)
-        fields = trial_family(grid, rng, cfg.theorem_trials, mean_zero=True)
-        trials_by_d[d] = len(fields)
-        halves = fracpow.dense_power(grid, V, -0.5, _stack(fields))
-        factor_margin = -math.inf
-        vector_ratios = {p: [] for p in ps}
-        subset = []  # dense results of the quadrature cross-check's fields
-        # each field's transforms are reduced to numbers at once, so that only
-        # the subset is held, not the whole family's vector fields
-        for f, h in zip(fields, halves):
-            half = Field(grid, h)
-            res = riesz.riesz_from_inv_sqrt(half, route="factored")
-            direct = riesz.riesz_from_inv_sqrt(half, route="direct")
-            scale = max(np.abs(c.values).max() for c in res.components)
-            diff = max(
-                float(np.abs(a.values - b.values).max())
-                for a, b in zip(res.components, direct.components)
-            )
-            route_err = max(route_err, diff / scale)
-            if len(subset) < 3:
-                subset.append(res)
+        stack = _stack(trial_family(grid, rng, cfg.theorem_trials, mean_zero=True))
+        trials_by_d[d] = len(stack)
+        halves = fracpow.dense_power(grid, V, -0.5, stack)
+        for start in range(0, len(stack), THEOREM_BLOCK):
+            block, half = (x[start:start + THEOREM_BLOCK] for x in (stack, halves))
+            res = riesz.riesz_from_inv_sqrt(half, grid, route="factored")
+            direct = riesz.riesz_from_inv_sqrt(half, grid, route="direct")
+            diff = _field_max(res.components - direct.components)
+            route_err = max(route_err, float((diff / _field_max(res.components)).max()))
             # classical constants and the chain inequalities
-            cls = riesz.classical_riesz(f)
+            cls = riesz.classical_riesz(block, grid)
             for p in ps:
-                classical_max[p] = max(classical_max[p], riesz.vector_ratio(cls, f, p))
-                factor_margin = max(
-                    factor_margin, lp_norm(res.companion, p) / lp_norm(f, p) / _interp_bound(p)
+                cls_top, factor_top, vector_top = (
+                    float(lp_ratios(x, block, grid, p).max())
+                    for x in (cls.magnitude, res.companion, res.magnitude)
                 )
-                vector_ratios[p].append(riesz.vector_ratio(res, f, p))
-        # quadrature backend cross-check on a small subset
+                classical_max[p] = max(classical_max[p], cls_top)
+                worst_factor = max(worst_factor, factor_top / _interp_bound(p))
+                vector_max[d][p] = max(vector_max[d][p], vector_top)
+        # quadrature backend cross-check on a small subset: the dense
+        # reference, the quadrature result and its splitting estimate go
+        # through the same Riesz map
         quad = fracpow.build_quadrature(
             -0.5, fracpow.spectral_bounds(grid, V), tol=cfg.quad_tol
         )
         qhalves, qests = fracpow.subordinated_apply_stack(
-            _stack(fields[: len(subset)]), V.values, grid, -0.5, quad, tau0=cfg.tau0
+            stack[:QUAD_FIELDS], V.values, grid, -0.5, quad, tau0=cfg.tau0
         )
-        for res, qh, qe in zip(subset, qhalves, qests):
-            qres = riesz.riesz_from_inv_sqrt(Field(grid, qh), route="factored")
-            eres = riesz.riesz_from_inv_sqrt(Field(grid, qe), route="factored")
-            den = _components_l2(c.values for c in res.components)
-            num = _components_l2(
-                a.values - b.values for a, b in zip(qres.components, res.components)
-            )
-            quad_route_err = max(quad_route_err, num / den)
-            quad_split_est = max(
-                quad_split_est, _components_l2(c.values for c in eres.components) / den
-            )
-        per_d[d] = {"factor_margin": factor_margin, "vector_ratios": vector_ratios}
+        ref, qcomps, ecomps = (
+            riesz.riesz_from_inv_sqrt(x, grid, route="factored").components
+            for x in (halves[:QUAD_FIELDS], qhalves, qests)
+        )
+        den = _components_l2(ref)
+        quad_route_err = max(quad_route_err, float((_components_l2(qcomps - ref) / den).max()))
+        quad_split_est = max(quad_split_est, float((_components_l2(ecomps) / den).max()))
 
     c_hat = {p: 1.05 * classical_max[p] for p in ps}
-    worst_vector_margin = -math.inf
-    margin_by_d = {}
-    for d in dims:
-        m_d = -math.inf
-        for p in ps:
-            bound = _interp_bound(p) * c_hat[p]
-            m_d = max(m_d, max(per_d[d]["vector_ratios"][p]) / bound)
-        margin_by_d[d] = m_d
-        worst_vector_margin = max(worst_vector_margin, m_d)
-    worst_factor = max(per_d[d]["factor_margin"] for d in dims)
+    margin_by_d = {
+        d: max(vector_max[d][p] / (_interp_bound(p) * c_hat[p]) for p in ps) for d in dims
+    }
+    worst_vector_margin = max(margin_by_d.values())
 
     measured = {
         "route_rel_err_dense": route_err,
@@ -562,7 +549,7 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
         and worst_factor <= 1.0 + QUAD_TOL
         and worst_vector_margin <= 1.0 + QUAD_TOL
     )
-    note = _cfg_note(cfg, dims=list(dims))
+    note = _cfg_note(cfg, dims=list(dims), p_values=list(ps))
     if any(k != cfg.theorem_trials for k in trials_by_d.values()):
         # coarse grids drop degenerate structured fields; say how many ran
         note["trials_by_d"] = trials_by_d
@@ -593,7 +580,7 @@ def check_weak11(cfg: RunConfig) -> CheckReport:
                 v = np.exp(-(((pts - c) ** 2).sum(axis=-1)) / (2 * sig**2))
                 f = Field(grid, v)
                 res = riesz.schrodinger_riesz(f, V, route="factored")
-                vals.append(weak_l1(res.components[0]) / lp_norm(f, 1.0))
+                vals.append(weak_l1(Field(grid, res.components[0, 0])) / lp_norm(f, 1.0))
         ratios[n] = vals
     rel = [
         abs(a / b - 1.0) for a, b in zip(ratios[2 * cfg.n], ratios[cfg.n])
@@ -619,15 +606,15 @@ def check_vhalf(cfg: RunConfig) -> CheckReport:
     for d in (1, 2, 3):
         grid = cfg.grid(d=d)
         V = potentials.discretize_potential(pot, grid)
-        fields = trial_family(grid, rng, 24, mean_zero=True)
-        outs = np.sqrt(V.values) * fracpow.dense_power(grid, V, -0.5, _stack(fields))
+        stack = _stack(trial_family(grid, rng, 24, mean_zero=True))
+        outs = np.sqrt(V.values) * fracpow.dense_power(grid, V, -0.5, stack)
         for p in ps:
-            vals = [lp_norm(Field(grid, o), p) / lp_norm(f, p) for f, o in zip(fields, outs)]
-            per[f"d{d}_p{p:g}"] = float(max(vals))
+            per[f"d{d}_p{p:g}"] = float(lp_ratios(outs, stack, grid, p).max())
             if p == 2.0:
                 worst_p2 = max(worst_p2, per[f"d{d}_p{p:g}"])
     verdict = "pass" if worst_p2 <= 1.0 + DENSE_TOL else "fail"
-    return _report("VHALF", _cfg_note(cfg), per, "p2_ratio", 1.0, worst_p2, DENSE_TOL, verdict)
+    return _report("VHALF", _cfg_note(cfg, p_values=list(ps)), per, "p2_ratio", 1.0, worst_p2,
+                   DENSE_TOL, verdict)
 
 
 def check_ce1(cfg: RunConfig) -> CheckReport:

@@ -97,6 +97,19 @@ def test_check_theorem_at_n4_drops_degenerate_fields(tmp_path):
     assert report["config"]["trials_by_d"] == {"1": 72, "2": 72, "3": 71}
 
 
+def test_csv_p_column_lists_the_exponents_a_check_ran(tmp_path):
+    # VHALF runs fixed exponents whatever --p says, COMPOSITION takes none,
+    # and THEOREM runs the p list it is given
+    rows = {}
+    for cid, p_list in (("VHALF", "3"), ("COMPOSITION", "3"), ("THEOREM", "1.5,2")):
+        out = tmp_path / cid
+        assert run_cli("check", cid, "--p", p_list, "--n", "4", "--out", str(out)) == 0
+        rows[cid] = next(csv.DictReader(open(out / "reports.csv")))
+    assert rows["VHALF"]["p"] == "1.25;1.5;2"
+    assert rows["COMPOSITION"]["p"] == ""
+    assert rows["THEOREM"]["p"] == "1.5;2"
+
+
 def test_kernel_fk_runs(capsys):
     rc = run_cli(
         "kernel", "--fk", "--potential", "const:2", "--x", "0", "--y", "0.25",

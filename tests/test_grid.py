@@ -12,6 +12,8 @@ from rzlab.grid import (
     Field,
     GridSpec,
     lp_norm,
+    lp_norms,
+    lp_ratios,
     nested_lp_norms,
     read_field,
     sample,
@@ -100,6 +102,22 @@ def test_lp_norm_homogeneous(alpha, p, seed):
     base = lp_norm(Field(g, v), p)
     scaled = lp_norm(Field(g, alpha * v), p)
     assert scaled == pytest.approx(abs(alpha) * base, rel=1e-12, abs=1e-12)
+    # one formula, bit for bit: a pairwise sum times h^d, then a Python-float root
+    assert base == float((np.abs(v) ** p).sum() * g.cell_volume) ** (1.0 / p)
+    assert lp_norms(np.stack([v, alpha * v]), g, p).tolist() == [base, scaled]
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
+def test_lp_ratios_reject_a_zero_denominator_field(d, n):
+    g = GridSpec(d, n, 1.5)
+    v = np.random.default_rng(d).standard_normal((2, *g.shape))
+    np.testing.assert_array_equal(lp_ratios(v, v, g, 1.5), [1.0, 1.0])
+    den = v.copy()
+    den[1] = 0.0
+    with pytest.raises(ValueError, match="zero input field"):
+        lp_ratios(v, den, g, 1.5)
+    with pytest.raises(ValueError, match="p must be"):
+        lp_norms(v, g, 0.5)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rzlab import fracpow, potentials, riesz
-from rzlab.grid import Field, GridSpec, lp_norm
+from rzlab import fracpow, potentials, riesz, spectral
+from rzlab.grid import Field, GridSpec, lp_norm, lp_ratios
 from rzlab.verify import bandlimited_field
 
 
@@ -21,9 +21,8 @@ def test_zero_potential_reduces_to_classical(g2):
     f = bandlimited_field(g2, rng)
     V0 = potentials.discretize_potential(potentials.zero(), g2)
     got = riesz.schrodinger_riesz(f, V0, route="direct")
-    want = riesz.classical_riesz(f)
-    for a, b in zip(got.components, want.components):
-        np.testing.assert_allclose(a.values, b.values, atol=1e-10)
+    want = riesz.classical_riesz(f.values[None], g2)
+    np.testing.assert_allclose(got.components, want.components, atol=1e-10)
 
 
 def test_route_equivalence_dense(g2, harm):
@@ -31,25 +30,24 @@ def test_route_equivalence_dense(g2, harm):
     f = bandlimited_field(g2, rng)
     direct = riesz.schrodinger_riesz(f, harm, route="direct")
     factored = riesz.schrodinger_riesz(f, harm, route="factored")
-    scale = max(np.abs(c.values).max() for c in factored.components)
-    for a, b in zip(direct.components, factored.components):
-        assert np.max(np.abs(a.values - b.values)) <= 1e-10 * scale
+    scale = np.abs(factored.components).max()
+    assert np.max(np.abs(direct.components - factored.components)) <= 1e-10 * scale
 
 
 def test_magnitude_squared_identity(g2, harm):
     rng = np.random.default_rng(2)
     f = bandlimited_field(g2, rng)
     res = riesz.schrodinger_riesz(f, harm)
-    total = sum(c.values**2 for c in res.components)
-    np.testing.assert_allclose(res.magnitude.values**2, total, atol=1e-12)
+    total = (res.components**2).sum(axis=1)
+    np.testing.assert_allclose(res.magnitude**2, total, atol=1e-12)
 
 
 def test_vector_p2_bound_over_trials(g2, harm):
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        f = bandlimited_field(g2, rng)
-        res = riesz.schrodinger_riesz(f, harm)
-        assert riesz.vector_ratio(res, f, 2.0) <= 1.0 + 1e-6
+    stack = np.stack([bandlimited_field(g2, rng).values for _ in range(20)])
+    half = fracpow.dense_power(g2, harm, -0.5, stack)
+    res = riesz.riesz_from_inv_sqrt(half, g2)
+    assert np.all(lp_ratios(res.magnitude, stack, g2, 2.0) <= 1.0 + 1e-6)
 
 
 def test_linearity(g2, harm):
@@ -60,8 +58,9 @@ def test_linearity(g2, harm):
     lhs = riesz.schrodinger_riesz(combo, harm)
     r1 = riesz.schrodinger_riesz(f1, harm)
     r2 = riesz.schrodinger_riesz(f2, harm)
-    for a, b, c in zip(lhs.components, r1.components, r2.components):
-        np.testing.assert_allclose(a.values, 2.0 * b.values - 3.0 * c.values, atol=1e-10)
+    np.testing.assert_allclose(
+        lhs.components, 2.0 * r1.components - 3.0 * r2.components, atol=1e-10
+    )
 
 
 def test_quad_backend_close_to_dense(g2, harm):
@@ -69,9 +68,10 @@ def test_quad_backend_close_to_dense(g2, harm):
     f = bandlimited_field(g2, rng)
     dense = riesz.schrodinger_riesz(f, harm)
     quad = fracpow.build_quadrature(-0.5, fracpow.spectral_bounds(g2, harm))
-    viaq = riesz.riesz_from_inv_sqrt(fracpow.frac_power_apply(f, harm, -0.5, quad))
-    num = sum(np.sum((a.values - b.values) ** 2) for a, b in zip(dense.components, viaq.components))
-    den = sum(np.sum(c.values**2) for c in dense.components)
+    half = fracpow.frac_power_apply(f, harm, -0.5, quad)
+    viaq = riesz.riesz_from_inv_sqrt(half.values[None], g2)
+    num = np.sum((dense.components - viaq.components) ** 2)
+    den = np.sum(dense.components**2)
     assert np.sqrt(num / den) <= 1e-3
 
 
@@ -107,14 +107,47 @@ def test_stacked_inv_sqrt_matches_per_field(g2, pot):
     fields = [bandlimited_field(g2, rng) for _ in range(4)]
     halves = fracpow.dense_power(g2, V, -0.5, np.stack([f.values for f in fields]))
     for f, h in zip(fields, halves):
-        want = riesz.inv_sqrt_apply(f, V)
-        np.testing.assert_allclose(h, want.values, rtol=0, atol=1e-12 * np.abs(want.values).max())
+        want = fracpow.dense_power(g2, V, -0.5, f.values[None])[0]
+        np.testing.assert_allclose(h, want, rtol=0, atol=1e-12 * np.abs(want).max())
         for route in riesz.ROUTES:
-            got = riesz.riesz_from_inv_sqrt(Field(g2, h), route=route)
+            got = riesz.riesz_from_inv_sqrt(h[None], g2, route=route)
             ref = riesz.schrodinger_riesz(f, V, route=route)
-            for a, b in zip(got.components, ref.components):
-                np.testing.assert_allclose(a.values, b.values, rtol=0,
-                                           atol=1e-12 * np.abs(b.values).max())
+            np.testing.assert_allclose(got.components, ref.components, rtol=0,
+                                       atol=1e-12 * np.abs(ref.components).max())
+
+
+def _one_field_reference(v, g, name):
+    """Components and magnitude by one-field multipliers, summed in component order."""
+    f = Field(g, v)
+    if name == "factored":
+        f = spectral.apply_multiplier(f, spectral.sqrt_laplacian())
+    m = spectral.derivative if name == "direct" else spectral.riesz
+    comps = [spectral.apply_multiplier(f, m(j)).values for j in range(1, g.d + 1)]
+    return np.stack(comps), np.sqrt(sum(c**2 for c in comps))
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+def test_stacked_riesz_equals_batch_of_one_exactly(d, n):
+    g = GridSpec(d, n, 4.0)
+    rng = np.random.default_rng(d)
+    stack = np.stack([bandlimited_field(g, rng).values for _ in range(5)])
+    for name, run in [
+        *((route, lambda x, r=route: riesz.riesz_from_inv_sqrt(x, g, route=r))
+          for route in riesz.ROUTES),
+        ("classical", lambda x: riesz.classical_riesz(x, g)),
+    ]:
+        whole = run(stack)
+        assert whole.components.shape == (5, d, *g.shape), name
+        assert whole.magnitude.shape == stack.shape, name
+        for i in range(len(stack)):
+            one = run(stack[i:i + 1])
+            assert np.array_equal(one.components, whole.components[i:i + 1]), name
+            assert np.array_equal(one.magnitude, whole.magnitude[i:i + 1]), name
+            if name == "factored":
+                assert np.array_equal(one.companion, whole.companion[i:i + 1])
+            comps, magnitude = _one_field_reference(stack[i], g, name)
+            assert np.array_equal(whole.components[i], comps), name
+            assert np.array_equal(whole.magnitude[i], magnitude), name
 
 
 @pytest.mark.parametrize("pot", [potentials.zero(), potentials.harmonic()], ids=lambda p: p.tag)

@@ -206,3 +206,23 @@ def test_real_input_gives_real_output_property(g, seed, t):
         scale = max(np.abs(full.real).max(), np.abs(v).max())
         assert np.abs(full.imag).max() <= 1e-13 * scale, m
         spectral.apply_multiplier(Field(g, v), m)  # raises on a residue above 1e-10
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
+def test_stack_residue_checked_per_field(d, n):
+    # the symbol is not Hermitian at one mode, so it turns real fields complex;
+    # a constant field has no content there and stays real
+    g = GridSpec(d, n, 2.0)
+    symbol = np.ones(g.shape, dtype=complex)
+    symbol[(1,) * d] += 1j
+    noisy = np.random.default_rng(d).standard_normal(g.shape)
+    with pytest.raises(spectral.TransformResidueError):
+        spectral.apply_symbol_stack(np.stack([noisy, noisy]), symbol, d)
+    # a small field next to a large one is judged on its own scale
+    small_next_to_large = np.stack([np.full(g.shape, 1e12), 1e-3 * noisy])
+    with pytest.raises(spectral.TransformResidueError):
+        spectral.apply_symbol_stack(small_next_to_large, symbol, d)
+    out = spectral.apply_symbol_stack(np.full((2, *g.shape), 1e12), symbol, d)
+    np.testing.assert_allclose(out, 1e12, rtol=1e-12)
+    with pytest.raises(spectral.TransformResidueError):  # one field, no batch axis
+        spectral.apply_symbol_stack(noisy, symbol, d)
