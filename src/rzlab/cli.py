@@ -280,7 +280,7 @@ def main(argv=None) -> int:
             return _error(exc)
     try:
         return args.fn(args)
-    except potentials.GridMismatchError as exc:  # a custom: file on another grid
+    except potentials.GridMismatchError as exc:  # custom: on another grid, ce1 at d = 1
         return _error(exc)
 
 

@@ -14,6 +14,12 @@ a geometric u-grid give a rule whose scalar identity
 
 is verified at build time across the operator's spectral range.
 
+The semigroup applications are Strang runs (:func:`semigroup.evolve_stack`).
+Most of a rule's nodes lie far below the subordination step; every node
+t <= tau0 / 16 is reached from t = 0 directly, and these nodes are evolved
+together, a block of times per call.  The nodes above advance one from
+the next under a step controller.
+
 The dense companion is :func:`dense_power`, L^power on a field stack
 through :func:`semigroup.apply_function`; for V = 0 it is the
 pseudo-inverse, 0 on the constants.  The summary of the perturbation kernel
@@ -177,6 +183,16 @@ def _mean_zero_required(V: Field, f: Field) -> None:
 
 
 DEFAULT_SUBORDINATION_STEP = 0.04
+# Nodes t <= tau0 * DIRECT_NODE_FRACTION are reached from t = 0 directly,
+# in one coarse and two fine steps.  A direct step to t has a splitting
+# error per unit time proportional to t^2, at most 1/256 of a regular tau0
+# step's; a threshold of tau0 itself made the harmonic d = 1 entry of
+# QUAD_VS_DENSE 13 times less accurate.
+DIRECT_NODE_FRACTION = 1.0 / 16.0
+# Elements per batched evolve_stack call over direct nodes, counting each
+# node's evolved stack and its n x n heat circulant; it keeps peak memory
+# flat.
+DIRECT_BLOCK_ELEMENTS = 2**16
 
 
 def _node_coefficients(power: float, quad: TimeQuadrature) -> np.ndarray:
@@ -190,7 +206,9 @@ def _node_coefficients(power: float, quad: TimeQuadrature) -> np.ndarray:
 
 
 def _field_norms(stack: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return np.linalg.norm(stack.reshape(-1, spec.num_points), axis=1)
+    # what np.linalg.norm(axis=1) computes, bit for bit, without its overhead
+    x = stack.reshape(-1, spec.num_points)
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def subordinated_apply_stack(
@@ -203,19 +221,26 @@ def subordinated_apply_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature sum over semigroup applications on a field stack.
 
-    The semigroup state advances incrementally through the sorted nodes,
-    with a lockstep run at exactly twice the steps per increment; the two
-    quadrature sums are Richardson-combined, which cancels the
-    second-order splitting error.  Nodes beyond the spectral decay horizon
-    contribute only their identity part.
+    Each node is reached by a coarse Strang run and a lockstep fine run at
+    exactly twice the steps; the two quadrature sums are Richardson-
+    combined, which cancels the second-order splitting error.  Nodes
+    beyond the spectral decay horizon contribute only their identity part.
+
+    The nodes t_i <= tau0 * DIRECT_NODE_FRACTION, a prefix of the sorted
+    rule, are reached from t = 0 in one coarse step and two fine steps.
+    They are evolved as time arrays, in blocks of m nodes with
+    m * (stack.size + n^2) <= DIRECT_BLOCK_ELEMENTS, which bounds the
+    evolved states and heat circulants held at once.  From the last of
+    them the state advances incrementally through the remaining nodes.
+    The sums add the nodes in rule order either way.
 
     The step size is controlled per increment: with r the smallest, over
     the fields, of |sum so far| / (|state| * sum of the |c_j| still to
     come), the increment steps at tau0 * max(1, r)^(1/4).  Once the summed
     part dominates what the remaining nodes can add, their splitting error
-    matters proportionally less.  The first increment, and any stack with a
-    zero state, steps at tau0; the step sequence is deterministic in the
-    data.
+    matters proportionally less.  An increment from t = 0, and any stack
+    with a zero state, steps at tau0; the step sequence is deterministic in
+    the data.
 
     Returns (result, estimate): estimate = (fine - coarse) / 3 is the
     embedded estimate of the splitting error of the fine sum before
@@ -227,10 +252,30 @@ def subordinated_apply_stack(
     remaining = np.cumsum(np.where(on, np.abs(coefs), 0.0)[::-1])[::-1]
     acc_c = np.zeros_like(stack)
     acc_f = np.zeros_like(stack)
-    state_c = stack.copy()
-    state_f = stack.copy()
+
+    def add(c_i: float, coarse: np.ndarray, fine: np.ndarray) -> None:
+        if power == 0.5:
+            acc_c[...] += c_i * (coarse - stack)
+            acc_f[...] += c_i * (fine - stack)
+        else:
+            acc_c[...] += c_i * coarse
+            acc_f[...] += c_i * fine
+
+    direct = int(np.searchsorted(quad.nodes, min(tau0 * DIRECT_NODE_FRACTION, t_cut), "right"))
+    block = max(1, DIRECT_BLOCK_ELEMENTS // (stack.size + spec.n**2))
+    state_c = state_f = stack
+    for start in range(0, direct, block):
+        ts = quad.nodes[start : min(start + block, direct)]
+        state_c = semigroup.evolve_stack(stack, V, spec, ts, 1)
+        state_f = semigroup.evolve_stack(stack, V, spec, ts, 2)
+        for j, c_i in enumerate(coefs[start : start + len(ts)]):
+            add(c_i, state_c[j], state_f[j])
     t_prev = 0.0
-    for t_i, c_i, on_i, rem_i in zip(quad.nodes, coefs, on, remaining):
+    if direct:
+        state_c, state_f, t_prev = state_c[-1], state_f[-1], quad.nodes[direct - 1]
+    for t_i, c_i, on_i, rem_i in zip(
+        quad.nodes[direct:], coefs[direct:], on[direct:], remaining[direct:]
+    ):
         if on_i:
             dt = t_i - t_prev
             if dt > 0:
@@ -244,12 +289,7 @@ def subordinated_apply_stack(
                 state_c = semigroup.evolve_stack(state_c, V, spec, dt, steps)
                 state_f = semigroup.evolve_stack(state_f, V, spec, dt, 2 * steps)
                 t_prev = t_i
-            if power == 0.5:
-                acc_c += c_i * (state_c - stack)
-                acc_f += c_i * (state_f - stack)
-            else:
-                acc_c += c_i * state_c
-                acc_f += c_i * state_f
+            add(c_i, state_c, state_f)
         elif power == 0.5:
             acc_c -= c_i * stack
             acc_f -= c_i * stack

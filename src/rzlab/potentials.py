@@ -29,7 +29,11 @@ class SingularPotentialError(ValueError):
 
 
 class GridMismatchError(ValueError):
-    """A custom potential's samples lie on another grid than the one asked for."""
+    """A potential cannot be sampled on the grid asked for.
+
+    A custom potential's samples lie on another grid, or ce1 is asked for
+    at d = 1.
+    """
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ def discretize_potential(spec: PotentialSpec, grid: GridSpec, cap="auto") -> Fie
         if not cap_value > 0:
             raise ValueError(f"cap must be positive, got {cap}")
     if spec.tag == "ce1" and grid.d < 2:
-        raise ValueError("ce1 needs d >= 2")
+        raise GridMismatchError(f"ce1 needs d >= 2, the check needs {grid}")
     if spec.tag == "custom":
         if spec.field.spec != grid:
             raise GridMismatchError(

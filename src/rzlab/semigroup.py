@@ -26,7 +26,7 @@ import os
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -62,10 +62,26 @@ def _check_potential(V: Field, grid: GridSpec) -> None:
         raise ValueError("potential must be nonnegative")
 
 
+@lru_cache(maxsize=16)
+def _heat_tables(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only xi_k^2 for k = 0..n/2 and the folded min(|i - j|, n - |i - j|)."""
+    n = spec.n
+    xi2 = spec.freq_axis()[: n // 2 + 1] ** 2
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    fold = np.minimum(dist, n - dist)
+    xi2.setflags(write=False)
+    fold.setflags(write=False)
+    return xi2, fold
+
+
 def evolve_stack(
-    stack: np.ndarray, V: np.ndarray, spec: GridSpec, t: float, steps: int
+    stack: np.ndarray, V: np.ndarray, spec: GridSpec, t: float | np.ndarray, steps: int
 ) -> np.ndarray:
     """Strang splitting on a (..., grid shape) stack of real fields.
+
+    ``t`` is one time, or a 1-D array of m times: then the result has shape
+    (m, *stack.shape), the stack evolved to each time in ``steps`` equal
+    steps, each slice equal to the call with that time alone.
 
     Adjacent potential half-steps are merged: one e^{-tau V/2} opens the
     run, each step is a heat step followed by e^{-tau V}, and the last
@@ -73,24 +89,24 @@ def evolve_stack(
     the Kronecker product of one n x n circulant H per axis, the inverse
     real FFT of the even 1-D symbol exp(-tau xi_k^2) gathered by |i - j|
     folded to at most n/2, so H is symmetric and a heat step is d matrix
-    products against it.
+    products against it, batched over the times.
     """
-    if t == 0.0:
-        return stack.copy()
-    tau = t / steps
-    half = np.exp(-0.5 * tau * V)
-    full = np.exp(-tau * V)
-    n, d = spec.n, spec.d
-    col = np.fft.irfft(np.exp(-tau * spec.freq_axis()[: n // 2 + 1] ** 2), n)
-    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    heat = col[np.minimum(dist, n - dist)]
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    m, n, d = len(ts), spec.n, spec.d
+    tau = ts / steps
+    xi2, fold = _heat_tables(spec)
+    heat = np.fft.irfft(np.exp(np.multiply.outer(-tau, xi2)), n, axis=-1).take(fold, axis=1)
+    lead = (1,) * (stack.ndim - d)
+    half = np.exp(np.multiply.outer(-0.5 * tau, V)).reshape(m, *lead, *spec.shape)
+    full = np.exp(np.multiply.outer(-tau, V)).reshape(half.shape) if steps > 1 else None
     u = half * stack
     for i in range(steps):
         for a in range(1, d):  # grid axis a - 1, with n^(d - a) samples after it
-            u = heat @ u.reshape(-1, n, n ** (d - a))
-        u = (u.reshape(-1, n) @ heat).reshape(stack.shape)
+            u = heat[:, None] @ u.reshape(m, -1, n, n ** (d - a))
+        u = (u.reshape(m, -1, n) @ heat).reshape(m, *stack.shape)
         u *= full if i < steps - 1 else half
-    return u
+    u[ts == 0.0] = stack
+    return u if np.ndim(t) else u[0]
 
 
 def strang_evolve(f: Field, V: Field, t: float, steps: int) -> Field:

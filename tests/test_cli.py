@@ -220,6 +220,23 @@ def test_custom_potential_on_another_grid_exits_2_with_one_line(tmp_path, capsys
     assert "GridSpec(d=1, n=16, R=4.0)" in err and "GridSpec(d=2, n=16, R=4.0)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("THEOREM", "--potential", "ce1:0.25"),
+        ("VHALF", "--potential", "ce1:0.25"),
+        ("COMPOSITION", "--d", "1", "--potential", "ce1:0.25"),
+    ],
+    ids=["theorem", "vhalf", "composition-d1"],
+)
+def test_ce1_at_d1_exits_2_with_one_line(tmp_path, capsys, argv):
+    rc = run_cli("check", *argv, "--out", str(tmp_path / "rep"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rzlab: error: ") and err.count("\n") == 1
+    assert "ce1 needs d >= 2" in err and "GridSpec(d=1," in err
+
+
 def test_verify_with_config_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"d": 1, "n": 16, "trials": 8, "seed": 5}))

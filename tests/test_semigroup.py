@@ -94,6 +94,22 @@ def test_fused_evolve_stack_matches_unfused_reference(d, n, steps, batch):
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_time_array_equals_scalar_calls_exactly(d, n, steps, lead):
+    g = GridSpec(d, n, 4.0)
+    V = potentials.discretize_potential(potentials.ce3(), g).values
+    V = V + potentials.discretize_potential(potentials.harmonic(), g).values
+    stack = np.random.default_rng(d * 10 + steps).standard_normal((*lead, *g.shape))
+    ts = np.array([0.0, 1e-6, 2.5e-3, 0.04, 0.35])
+    got = semigroup.evolve_stack(stack, V, g, ts, steps)
+    ref = np.stack([semigroup.evolve_stack(stack, V, g, t, steps) for t in ts])
+    assert got.shape == (len(ts), *stack.shape)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(got[0], stack)
+
+
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8), (2, 64)])
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
 def test_heat_step_matches_fft_heat_symbol(d, n, lead):
