@@ -13,7 +13,7 @@ from .fracpow import (
     perturbation_kernel,
 )
 from .riesz import RieszResult, schrodinger_riesz, sqrt_potential_inv_sqrt
-from .counterexamples import ce1_build, divergence_scan, green_bounded_check
+from .counterexamples import SCANS, ce1_build, divergence_scan, green_bounded_check
 from .verify import CheckReport, RunConfig, run_check, run_suite
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "schrodinger_riesz",
     "sqrt_potential_inv_sqrt",
     "ce1_build",
+    "SCANS",
     "divergence_scan",
     "green_bounded_check",
     "CheckReport",

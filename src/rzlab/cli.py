@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import potentials, semigroup, verify
-from .counterexamples import divergence_scan
+from .counterexamples import SCANS, divergence_scan
 from .grid import Field, GridSpec, read_field, write_field
 
 CSV_COLUMNS = (
@@ -121,21 +121,13 @@ def cmd_check(args) -> int:
     return _finish([verify.run_check(args.id, args.cfg)], args.cfg)
 
 
-# the parameters each scan reads
-_SCAN_PARAMS = {"CE1": ("eps", "p"), "CE2": ("p",), "CE3": ()}
-
-
 def cmd_scan(args) -> int:
     params = {k: v for k, v in (("eps", args.eps), ("p", args.scan_p)) if v is not None}
-    unused = [k for k in params if k not in _SCAN_PARAMS[args.which]]
-    if unused:
-        return _error(ValueError(f"scan {args.which} takes no --{unused[0]}"))
     try:
         deltas = _float_list(args.deltas) if args.deltas else None
         rep = divergence_scan(args.which, params, deltas)
     except ValueError as exc:
         return _error(exc)
-    xname = "rho" if rep.kind == "ce3" else "delta"
     print(f"{rep.kind}: slope={rep.fit_slope:.6g} r2={rep.fit_r2:.6g} "
           f"expected={rep.expected_slope} verdict={rep.verdict}")
     if args.out:
@@ -143,7 +135,7 @@ def cmd_scan(args) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["scan", xname, "value"])
+            writer.writerow(["scan", SCANS[args.which].x_name, "value"])
             for x, v in zip(rep.xs, rep.values):
                 writer.writerow([rep.kind, f"{x:.12g}", f"{v:.12g}"])
         print(f"scan data: {path}")
@@ -240,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_scan = subs.add_parser("scan", help="run a counterexample scan")
-    p_scan.add_argument("which", choices=["CE1", "CE2", "CE3"])
+    p_scan.add_argument("which", choices=sorted(SCANS))
     p_scan.add_argument("--eps", type=float, help="CE1 exponent")
     p_scan.add_argument("--p", dest="scan_p", type=float, help="norm exponent")
     p_scan.add_argument("--deltas", help="comma-separated cutoffs (CE3: radii)")

@@ -14,16 +14,18 @@ Three constructions certify that boundedness fails outside 1 < p <= 2:
 3. A bounded Green-bounded potential whose weighted transform decays too
    slowly at infinity: the radial tail integral grows like ln ln rho.
 
-Scans 1 and 2 run on grids fine enough that the smallest cutoff stays
-above four cells; scan 3 is a pure radial quadrature.  The series itself
-is validated separately: a local finite-difference Laplacian applied to
-the sampled v must cancel V v away from the axis.
+Every scan runs in ambient dimension AMBIENT_D = 3 and is named in
+:data:`SCANS`.  Scans 1 and 2 run on grids fine enough that the smallest
+cutoff stays above four cells; scan 3 is a pure radial quadrature.  The
+series itself is validated separately: a local finite-difference
+Laplacian applied to the sampled v must cancel V v away from the axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -31,6 +33,17 @@ from scipy.special import roots_legendre
 
 from . import potentials
 from .grid import Field, GridSpec, nested_lp_norms
+
+# Construction constants and gates of the scans.
+AMBIENT_D = 3  # the lowest dimension in which all three constructions live
+AXIAL_RTOL, AXIAL_MAX_TERMS = 1e-14, 200  # when axial_series stops adding terms
+CE1_AMBIENT_R = 2.5  # half-width of the box the AMBIENT_D - 2 flat coordinates span
+CE1_R2_THRESHOLD, CE1_SLOPE_TOL = 0.98, 0.05
+CE2_PROFILE_N = 16384  # samples of the 1D profile on [-1, 1)
+CE2_R2_THRESHOLD = 0.99
+CE3_INNER_RADIUS, CE3_REL_TOL = 100.0, 0.05
+GREEN_SAMPLE_RADII = (0.0, 0.5, 1.0, 5.0, 50.0)
+_PANELS_PER_DECADE, _PANEL_ORDER = 8, 16  # the Gauss-Legendre panels of _log_panel_quad
 
 
 def unit_ball_volume(k: int) -> float:
@@ -46,12 +59,12 @@ def unit_sphere_area(k: int) -> float:
 # series solution v with (-Delta + r12^(eps-2)) v = 0
 
 
-def axial_series(r: np.ndarray, eps: float, rtol: float = 1e-14, max_terms: int = 200):
+def axial_series(r: np.ndarray, eps: float):
     """Sum the series v(r) = sum_m r^(eps m) / (eps^(2m) (m!)^2) and its
     radial derivative factor G(r) = r v'(r) = sum_m (eps m) r^(eps m) / ...
 
     Returns (v, G, terms_used).  Terms are added until the next one is
-    below rtol of the running sum everywhere.
+    below AXIAL_RTOL of the running sum everywhere.
     """
     r = np.asarray(r, dtype=float)
     z = np.where(r > 0, r, 0.0) ** eps
@@ -59,12 +72,12 @@ def axial_series(r: np.ndarray, eps: float, rtol: float = 1e-14, max_terms: int 
     v = np.ones_like(z)
     g = np.zeros_like(z)
     m = 0
-    while m < max_terms:
+    while m < AXIAL_MAX_TERMS:
         m += 1
         term = term * z / (eps * eps * m * m)
         v += term
         g += eps * m * term
-        if np.all(term <= rtol * v):
+        if np.all(term <= AXIAL_RTOL * v):
             break
     return v, g, m
 
@@ -233,17 +246,7 @@ def _check_deltas(deltas, h: float) -> np.ndarray:
     return deltas
 
 
-def ce1_scan(
-    eps: float,
-    p: float,
-    deltas=None,
-    *,
-    ambient_d: int = 3,
-    ambient_R: float = 2.5,
-    section_n: int = 4096,
-    r2_threshold: float = 0.98,
-    slope_tol: float = 0.05,
-) -> ScanReport:
+def ce1_scan(eps: float, p: float, deltas=None, *, section_n: int = 4096) -> ScanReport:
     """Restricted p-norm growth of the near-axis profile |x1| r^(eps-2).
 
     A(delta) is the p-norm over delta < r < 1/2 on a fine 2D section of
@@ -252,8 +255,6 @@ def ce1_scan(
     eps the log-log slope is eps - 1 + 2/p; past the admissibility
     threshold the norm converges and the slope flattens to ~0.
     """
-    if ambient_d < 3:
-        raise ValueError("counterexample 1 lives in d >= 3")
     if not math.isfinite(eps):
         raise ValueError(f"CE1 exponent eps must be finite, got {eps}")
     if not (math.isfinite(p) and p >= 1):
@@ -281,16 +282,16 @@ def ce1_scan(
         with np.errstate(divide="ignore", invalid="ignore"):
             return r, np.where(r > 0, x1 * r ** (eps - 2.0), 0.0)
 
-    slab = (2.0 * ambient_R) ** ((ambient_d - 2) / p)
+    slab = (2.0 * CE1_AMBIENT_R) ** ((AMBIENT_D - 2) / p)
     quadrant = GridSpec(2, section_n // 2, section.R / 2.0)  # same h; needs n/2 even
     values = slab * nested_lp_norms(quadrant, p, deltas, disk_rows)
     slope, intercept, r2 = _linear_fit(np.log(deltas), np.log(values))
     expected = eps - 1.0 + 2.0 / p
     admissible = eps < 1.0 - 2.0 / p
-    if r2 < r2_threshold and admissible:
+    if r2 < CE1_R2_THRESHOLD and admissible:
         verdict = "inconclusive"
     elif admissible:
-        verdict = "pass" if abs(slope - expected) <= slope_tol else "fail"
+        verdict = "pass" if abs(slope - expected) <= CE1_SLOPE_TOL else "fail"
     else:
         verdict = "pass" if slope >= -0.02 else "fail"
     return ScanReport(
@@ -320,14 +321,7 @@ def ce2_lower_bound_field(grid: GridSpec, p: float) -> Field:
     return Field(grid, vals)
 
 
-def ce2_scan(
-    p: float,
-    deltas=None,
-    *,
-    ambient_d: int = 3,
-    profile_n: int = 16384,
-    r2_threshold: float = 0.99,
-) -> ScanReport:
+def ce2_scan(p: float, deltas=None) -> ScanReport:
     """Mass of the p-th power of the ball lower bound outside |x1| < delta.
 
     The transverse directions integrate to the exact slice volume, so the
@@ -335,19 +329,17 @@ def ce2_scan(
     grow linearly in ln(1/delta).  p does not enter the mass, by
     construction: the p-th power of |x1|^(-1/p) is |x1|^(-1) for every p.
     """
-    if ambient_d < 3:
-        raise ValueError("counterexample 2 lives in d >= 3")
     if not (math.isfinite(p) and p > 2):
         # the rule of potentials.ce2
         raise ValueError(f"CE2 needs a finite p > 2, got {p}")
     if deltas is None:
         deltas = 2.0 ** (-np.arange(3, 11, dtype=float))
-    profile = GridSpec(1, profile_n, 1.0)
+    profile = GridSpec(1, CE2_PROFILE_N, 1.0)
     deltas = _check_deltas(deltas, profile.h)
 
     x = profile.axis()
-    slice_vol = unit_ball_volume(ambient_d - 1) * np.maximum(0.0, 1.0 - x**2) ** (
-        (ambient_d - 1) / 2.0
+    slice_vol = unit_ball_volume(AMBIENT_D - 1) * np.maximum(0.0, 1.0 - x**2) ** (
+        (AMBIENT_D - 1) / 2.0
     )
     with np.errstate(divide="ignore"):
         density = np.where(np.abs(x) > 0, slice_vol / np.abs(x), 0.0)
@@ -355,7 +347,7 @@ def ce2_scan(
         profile, 1.0, deltas, lambda rows: (np.abs(x[rows]), density[rows])
     )
     slope, intercept, r2 = _linear_fit(np.log(1.0 / deltas), values)
-    verdict = "pass" if r2 > r2_threshold else "inconclusive"
+    verdict = "pass" if r2 > CE2_R2_THRESHOLD else "inconclusive"
     increments = np.diff(values)
     return ScanReport(
         kind="ce2",
@@ -370,12 +362,12 @@ def ce2_scan(
     )
 
 
-def _log_panel_quad(fn, a: float, b: float, panels_per_decade: int = 8, order: int = 16) -> float:
+def _log_panel_quad(fn, a: float, b: float) -> float:
     """Gauss-Legendre panels on a log-spaced subdivision of [a, b]."""
     decades = math.log10(b / a)
-    panels = max(2, math.ceil(decades * panels_per_decade))
+    panels = max(2, math.ceil(decades * _PANELS_PER_DECADE))
     edges = np.geomspace(a, b, panels + 1)
-    gx, gw = roots_legendre(order)
+    gx, gw = roots_legendre(_PANEL_ORDER)
     mid = 0.5 * (edges[1:] + edges[:-1])
     rad = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + rad[:, None] * gx[None, :]).ravel()
@@ -383,31 +375,29 @@ def _log_panel_quad(fn, a: float, b: float, panels_per_decade: int = 8, order: i
     return float(np.sum(w * fn(x)))
 
 
-def ce3_tail(rho: float, d: int = 3, inner: float = 100.0) -> float:
-    """Radial tail integral of the decay bound between radius 100 and rho."""
-    area = unit_sphere_area(d)
+def ce3_tail(rho: float) -> float:
+    """Radial tail integral of the decay bound between CE3_INNER_RADIUS and rho."""
+    area = unit_sphere_area(AMBIENT_D)
     return area * _log_panel_quad(
-        lambda r: 1.0 / ((1.0 + r) * np.log(4.0 + r)), inner, rho
+        lambda r: 1.0 / ((1.0 + r) * np.log(4.0 + r)), CE3_INNER_RADIUS, rho
     )
 
 
-def ce3_scan(rhos=None, *, ambient_d: int = 3, rel_tol: float = 0.05) -> ScanReport:
+def ce3_scan(rhos=None) -> ScanReport:
     """Tail growth of the decay bound: increments track ln ln rho."""
-    if ambient_d < 3:
-        raise ValueError("counterexample 3 lives in d >= 3")
     if rhos is None:
         rhos = np.array([1e3, 1e6, 1e12])
     rhos = np.asarray(rhos, dtype=float)
     if not np.all(np.diff(rhos) > 0):
         raise ValueError("radii must be strictly increasing")
-    values = np.array([ce3_tail(rho, ambient_d) for rho in rhos])
+    values = np.array([ce3_tail(rho) for rho in rhos])
     lnln = np.log(np.log(rhos))
-    area = unit_sphere_area(ambient_d)
+    area = unit_sphere_area(AMBIENT_D)
     inc_t = np.diff(values)
     inc_expected = area * np.diff(lnln)
     rel = np.abs(inc_t / inc_expected - 1.0)
     slope, intercept, r2 = _linear_fit(lnln, values)
-    verdict = "pass" if np.all(rel <= rel_tol) else "fail"
+    verdict = "pass" if np.all(rel <= CE3_REL_TOL) else "fail"
     return ScanReport(
         kind="ce3",
         xs=rhos,
@@ -421,19 +411,29 @@ def ce3_scan(rhos=None, *, ambient_d: int = 3, rel_tol: float = 0.05) -> ScanRep
     )
 
 
+class Scan(NamedTuple):
+    run: Callable[..., ScanReport]  # run(*params, xs), xs its cutoffs or radii
+    params: dict[str, float]  # name -> default, in call order
+    x_name: str
+
+
+SCANS = {
+    "CE1": Scan(ce1_scan, {"eps": 0.25, "p": 4.0}, "delta"),
+    "CE2": Scan(ce2_scan, {"p": 4.0}, "delta"),
+    "CE3": Scan(ce3_scan, {}, "rho"),
+}
+
+
 def divergence_scan(which: str, params: dict | None = None, deltas=None) -> ScanReport:
-    """Dispatch one of the three scans by name (CE1, CE2, CE3)."""
-    params = dict(params or {})
-    key = which.lower()
-    if key == "ce1":
-        return ce1_scan(
-            params.pop("eps", 0.25), params.pop("p", 4.0), deltas, **params
-        )
-    if key == "ce2":
-        return ce2_scan(params.pop("p", 4.0), deltas, **params)
-    if key == "ce3":
-        return ce3_scan(deltas if deltas is not None else params.pop("rhos", None), **params)
-    raise ValueError(f"unknown scan {which!r}")
+    """Run a scan of :data:`SCANS` over ``deltas``, its cutoffs (CE3: radii)."""
+    scan = SCANS.get(which.upper())
+    if scan is None:
+        raise ValueError(f"unknown scan {which!r}; choose from {', '.join(SCANS)}")
+    params = params or {}
+    unknown = [k for k in params if k not in scan.params]
+    if unknown:
+        raise ValueError(f"scan {which} takes no parameter {unknown[0]!r}")
+    return scan.run(*(params.get(k, v) for k, v in scan.params.items()), deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -461,45 +461,31 @@ class GreenBoundReport:
 
 
 def green_bounded_check(
-    V: potentials.PotentialSpec,
-    d: int,
-    sample_points=(0.0, 0.5, 1.0, 5.0, 50.0),
-    radius_cap: float = 1e3,
+    V: potentials.PotentialSpec, d: int, radius_cap: float = 1e3
 ) -> GreenBoundReport:
     """Truncated sup_x int V(y) |x-y|^(2-d) dy for radial potentials.
 
     The spherical average of |x-y|^(2-d) over |y| = s is max(|x|, s)^(2-d)
     (mean value property), so the integral reduces to one radial
-    quadrature per sample point.  Divergence is flagged when doubling the
-    truncation radius moves the answer by more than 10%.
+    quadrature per radius in GREEN_SAMPLE_RADII, with V at (s, 0, ..., 0).
+    Divergence is flagged when doubling the truncation radius moves the
+    answer by more than 10%.
     """
     if d < 3:
         raise ValueError("Green-boundedness is a d >= 3 criterion")
     if V.tag not in ("zero", "const", "harmonic", "ce3"):
         raise ValueError(f"radial reduction unavailable for tag {V.tag!r}")
-    if V.tag == "zero":
-        return GreenBoundReport(
-            0.0, tuple(0.0 for _ in sample_points), radius_cap, 0.0, False
-        )
-
-    def v_of_r(r: np.ndarray) -> np.ndarray:
-        if V.tag == "const":
-            return np.full_like(r, V.c)
-        if V.tag == "harmonic":
-            return r**2
-        return (1.0 + r) ** (-2.0) * np.log(4.0 + r) ** (-2.0)
-
     area = unit_sphere_area(d)
 
     def value_at(x: float, cap: float) -> float:
         def integrand(s: np.ndarray) -> np.ndarray:
-            return v_of_r(s) * s ** (d - 1) * np.maximum(x, s) ** (2 - d)
+            on_axis = np.pad(s[:, None], ((0, 0), (0, d - 1)))
+            return potentials.eval_capped(V, on_axis) * s ** (d - 1) * np.maximum(x, s) ** (2 - d)
 
         return area * _log_panel_quad(integrand, 1e-9 * max(1.0, x), cap)
 
-    radii = [float(np.linalg.norm(np.atleast_1d(q))) for q in sample_points]
-    vals = [value_at(r, radius_cap) for r in radii]
-    vals2 = [value_at(r, 2.0 * radius_cap) for r in radii]
+    vals = [value_at(r, radius_cap) for r in GREEN_SAMPLE_RADII]
+    vals2 = [value_at(r, 2.0 * radius_cap) for r in GREEN_SAMPLE_RADII]
     sup1, sup2 = max(vals), max(vals2)
     divergent = sup2 > 1.1 * sup1
     if V.tag == "ce3":

@@ -79,11 +79,9 @@ class TimeQuadrature:
         vals = phi_weight(self.power, self.nodes, np.atleast_1d(lam))
         return vals @ self.weights
 
-    def max_identity_error(self, lams=None) -> float:
-        """Max relative error of the scalar identity over a log lambda grid."""
-        if lams is None:
-            lams = np.geomspace(self.spectral_range[0], self.spectral_range[1], 20)
-        lams = np.atleast_1d(lams)
+    def max_identity_error(self) -> float:
+        """Max relative error of the scalar identity at 20 log-spaced lambdas."""
+        lams = np.geomspace(self.spectral_range[0], self.spectral_range[1], 20)
         approx = self.scalar_apply(lams)
         exact = lams**self.power
         return float(np.max(np.abs(approx - exact) / np.abs(exact)))
@@ -103,12 +101,16 @@ def _range_for(power: float, lam_min: float, lam_max: float, tol: float) -> tupl
     return 0.5 * u_lo, 1.2 * u_hi
 
 
+# Gauss-Legendre nodes per panel, and the panels per decade of u a build
+# starts from (each retry multiplies them by 1.6).
+QUAD_ORDER = 12
+QUAD_PANELS_PER_DECADE = 4.0
+
+
 def build_quadrature(
     power: float,
     spectral_range: tuple[float, float],
     tol: float = 1e-6,
-    order: int = 12,
-    panels_per_decade: float = 4.0,
     max_panels: int = 2000,
 ) -> TimeQuadrature:
     """Build and verify a rule for one power over [lam_min, lam_max]."""
@@ -119,7 +121,7 @@ def build_quadrature(
         raise ValueError(f"power must be one of {POWERS}, got {power}")
 
     u_lo, u_hi = _range_for(power, lam_min, lam_max, tol)
-    ppd = panels_per_decade
+    ppd = QUAD_PANELS_PER_DECADE
     for _ in range(6):
         decades = math.log10(u_hi / u_lo)
         panels = max(4, math.ceil(decades * ppd))
@@ -127,7 +129,7 @@ def build_quadrature(
             raise QuadratureBuildError(
                 f"tolerance {tol} needs more than {max_panels} panels"
             )
-        gx, gw = roots_legendre(order)
+        gx, gw = roots_legendre(QUAD_ORDER)
         edges = np.geomspace(u_lo, u_hi, panels + 1)
         mid = 0.5 * (edges[1:] + edges[:-1])
         rad = 0.5 * (edges[1:] - edges[:-1])
@@ -138,7 +140,7 @@ def build_quadrature(
             u_min=u_lo,
             u_max=u_hi,
             panels=panels,
-            order=order,
+            order=QUAD_ORDER,
             nodes=u**2,
             weights=2.0 * u * du_w,
             spectral_range=(lam_min, lam_max),

@@ -52,8 +52,11 @@ class GridSpec:
         return self.n**self.d
 
     def axis(self) -> np.ndarray:
-        """Sample coordinates along one axis: -R + k*h for k = 0..n-1."""
-        return -self.R + self.h * np.arange(self.n)
+        """Sample coordinates along one axis: h*(k - n/2) for k = 0..n-1.
+
+        Sample n/2 is 0, and samples k and n - k are exact negatives.
+        """
+        return self.h * (np.arange(self.n) - self.n // 2)
 
     def mesh(self) -> list[np.ndarray]:
         """d coordinate arrays of shape ``self.shape`` (axis 0 slowest)."""
@@ -78,7 +81,7 @@ class GridSpec:
     def nearest_index(self, x) -> tuple[int, ...]:
         """Multi-index of the grid point nearest to x (periodic)."""
         x = np.asarray(x, dtype=float)
-        k = np.rint((x + self.R) / self.h).astype(int) % self.n
+        k = (np.rint(x / self.h).astype(int) + self.n // 2) % self.n
         return tuple(int(v) for v in k)
 
 

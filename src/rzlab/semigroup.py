@@ -37,6 +37,7 @@ from .grid import Field, GridSpec
 DEFAULT_DENSE_CAP = 4096
 DEFAULT_STEP_SIZE = 0.01
 DEFAULT_BRIDGE_SLICES = 64
+FK_CHUNK = 8192  # paths per Feynman-Kac chunk; it fixes which seed draws each path
 # Unit fields per apply_function call when a whole N x N kernel is scanned
 # (W_KERNEL, CE2): the kernel is read COLUMN_BLOCK columns at a time.
 COLUMN_BLOCK = 256
@@ -224,14 +225,13 @@ def _separable_parts(V: Field) -> list[np.ndarray] | None:
 
 
 def _reflection_symmetric(V: Field) -> bool:
-    """Whether V matches its reflection k -> -k mod n along every axis.
+    """Whether V equals its reflection k -> -k mod n along every axis, exactly.
 
-    The test is to SEPARABLE_RTOL max |V|: on a grid whose spacing is not
-    dyadic the sample points are mirror images only up to rounding.
+    Mirror sample points are exact negatives (:meth:`GridSpec.axis`), so a
+    potential even in each coordinate is sampled to equal values.
     """
     vals, flip = V.values, -np.arange(V.spec.n) % V.spec.n
-    resid = max(np.max(np.abs(vals - np.take(vals, flip, axis=a))) for a in range(vals.ndim))
-    return float(resid) <= SEPARABLE_RTOL * float(np.max(np.abs(vals)))
+    return all(np.array_equal(vals, np.take(vals, flip, axis=a)) for a in range(vals.ndim))
 
 
 def _parity_basis(n: int) -> np.ndarray:
@@ -441,13 +441,12 @@ def fk_kernel_estimate(
     seed: int,
     *,
     slices: int = DEFAULT_BRIDGE_SLICES,
-    cap: float = math.inf,
-    chunk: int = 8192,
 ) -> tuple[float, float]:
     """Monte Carlo kernel estimate k_t(x, y) ~ h_t(x-y) E[exp(-t <V>_bridge)].
 
-    Paths are split into fixed-size chunks with per-chunk seeds derived
-    from (seed, chunk index).  Returns (estimate, standard error).
+    Paths are split into chunks of FK_CHUNK paths with per-chunk seeds
+    derived from (seed, chunk index), so changing FK_CHUNK changes every
+    estimate.  Returns (estimate, standard error).
     """
     if not (0 < t < math.inf):
         raise ValueError(f"time must be finite and > 0, got {t}")
@@ -481,13 +480,13 @@ def fk_kernel_estimate(
         w_end = w[:, -1:, :]
         frac = (times / t)[None, :, None]
         bridge = x + frac * (y - x) + w[:, :-1, :] - frac * w_end
-        pot = potentials.eval_capped(V, bridge, cap)
+        pot = potentials.eval_capped(V, bridge)
         weights = np.exp(-(t / slices) * pot.sum(axis=1))
         return float(weights.sum()), float((weights**2).sum())
 
-    sizes = [chunk] * (paths // chunk)
-    if paths % chunk:
-        sizes.append(paths % chunk)
+    sizes = [FK_CHUNK] * (paths // FK_CHUNK)
+    if paths % FK_CHUNK:
+        sizes.append(paths % FK_CHUNK)
     parts = [run_chunk(ci, cnt) for ci, cnt in enumerate(sizes)]
     sw = sum(p[0] for p in parts)
     sw2 = sum(p[1] for p in parts)

@@ -642,7 +642,8 @@ def check_ce1(cfg: RunConfig) -> CheckReport:
     verdict = "pass" if ok else "fail"
     note = _cfg_note(cfg, lattice=lattice, section=asdict(control.extras["section"]),
                      deltas=control.xs.tolist(), residual_grid=asdict(residual_grid))
-    return _report("CE1", note, measured, "slope_deviation", 0.0, worst_dev, 0.05, verdict)
+    return _report("CE1", note, measured, "slope_deviation", 0.0, worst_dev,
+                   counterexamples.CE1_SLOPE_TOL, verdict)
 
 
 def check_ce2(cfg: RunConfig) -> CheckReport:
@@ -662,7 +663,8 @@ def check_ce2(cfg: RunConfig) -> CheckReport:
     measured.update(env)
     ok &= env["upper_excess_local"] <= 2e-3 and env["fitted_c"] > 0.0
     verdict = "pass" if ok else "fail"
-    return _report("CE2", _cfg_note(cfg), measured, "mass_fit_r2", 0.99, rep.fit_r2, 0.0, verdict)
+    return _report("CE2", _cfg_note(cfg), measured, "mass_fit_r2", counterexamples.CE2_R2_THRESHOLD,
+                   rep.fit_r2, 0.0, verdict)
 
 
 def gaussian_envelope_spotcheck(
@@ -690,12 +692,12 @@ def gaussian_envelope_spotcheck(
         return (4.0 * math.pi * tt) ** (-grid.d / 2.0) * np.exp(-dist2 / (4.0 * tt))
 
     # Separation, region and envelopes depend only on the per-axis offset
-    # q = (i - j) mod n: form them once per q, at x = point q and y = point 0.
+    # q = (i - j) mod n: form them once per q, at the separation h*q with q
+    # folded into [-n/2, n/2), which rolling the axis by n/2 lists exactly.
     # The region is a box, so its offsets are one set per axis.  The ratios
     # are monotone in k, so each q's extreme k gives its extremes.  Row i of
     # the symmetric k_t is its column i, read a block at a time.
-    ax = grid.axis()
-    sep = (ax - ax[0] + grid.R) % (2.0 * grid.R) - grid.R
+    sep = np.roll(grid.axis(), grid.n // 2)
     offs = np.flatnonzero(np.abs(sep) <= region_fraction * grid.R)
     delta = np.stack(np.meshgrid(*[sep[offs]] * grid.d, indexing="ij"), axis=-1)
     dist2 = (delta.reshape(-1, grid.d) ** 2).sum(axis=-1)
@@ -742,7 +744,8 @@ def check_ce3(cfg: RunConfig) -> CheckReport:
     ok &= stab < 0.02 and not gb1.divergent
     verdict = "pass" if ok else "fail"
     worst = float(max(rep.extras["increment_rel_err"]))
-    return _report("CE3", _cfg_note(cfg), measured, "increment_rel_err", 0.0, worst, 0.05, verdict)
+    return _report("CE3", _cfg_note(cfg), measured, "increment_rel_err", 0.0, worst,
+                   counterexamples.CE3_REL_TOL, verdict)
 
 
 FK_TRIPLES = ((0.0, 0.0, 0.25), (0.5, -0.25, 0.4), (1.0, 1.0, 0.1))

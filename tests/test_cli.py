@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rzlab import cli, verify
+from rzlab.counterexamples import SCANS
 from rzlab.grid import Field, GridSpec, read_field, write_field
 
 
@@ -57,6 +58,24 @@ def test_scan_ce2_emits_tidy_csv(tmp_path):
 
 def test_scan_ce3():
     assert run_cli("scan", "CE3") == 0
+
+
+@pytest.mark.parametrize("which, header", [
+    ("CE1", ["scan", "delta", "value"]),
+    ("CE3", ["scan", "rho", "value"]),
+])
+def test_scan_csv_header_names_the_scans_abscissa(which, header, tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan", which, "--out", str(out)) == 0
+    rows = list(csv.reader(open(out)))
+    assert rows[0] == header and rows[1][0] == which.lower()
+
+
+def test_scan_choices_are_the_scan_table():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    which = next(a for a in subs.choices["scan"]._actions if a.dest == "which")
+    assert list(which.choices) == sorted(SCANS)
 
 
 @pytest.mark.parametrize("which, deltas", [

@@ -173,6 +173,16 @@ def test_divergence_scan_dispatch():
         ce.divergence_scan("CE9", {})
 
 
+@pytest.mark.parametrize("which, params", [
+    ("CE3", {"p": 4.0}),  # a parameter another scan takes
+    ("CE1", {"ambient_d": 4}),  # a construction constant, not a parameter
+    ("CE2", {"p": 4.0, "r2_threshold": 0.0}),  # a gate, not a parameter
+])
+def test_divergence_scan_rejects_a_parameter_its_scan_does_not_take(which, params):
+    with pytest.raises(ValueError, match=f"scan {which} takes no parameter"):
+        ce.divergence_scan(which, params)
+
+
 def test_green_bounded_ce3_finite_and_stable():
     a = ce.green_bounded_check(potentials.ce3(), 3, radius_cap=1e3)
     b = ce.green_bounded_check(potentials.ce3(), 3, radius_cap=2e3)

@@ -46,6 +46,21 @@ def test_sample_rejects_nonfinite():
         sample(g, lambda x: float("inf") if x[0] == 0 else 1.0)
 
 
+@pytest.mark.parametrize("n", [12, 20, 24])
+@pytest.mark.parametrize("R", [2.5, 4.0])
+def test_axis_mirror_points_are_exact_negatives(n, R):
+    ax = GridSpec(1, n, R).axis()
+    assert ax[n // 2] == 0.0
+    np.testing.assert_array_equal(ax[1:], -ax[1:][::-1])
+
+
+def test_nearest_index_round_trip_on_a_non_dyadic_grid():
+    g = GridSpec(2, 12, 2.5)
+    got = [g.flat_index(g.nearest_index(x)) for x in g.points()]
+    assert got == list(range(g.num_points))
+    assert g.nearest_index([2.5, -2.5]) == (0, 0)  # the point R is the point -R
+
+
 def test_gridspec_validation():
     with pytest.raises(ValueError):
         GridSpec(0, 4, 1.0)

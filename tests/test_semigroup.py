@@ -307,7 +307,7 @@ NON_SEPARABLE = [potentials.ce1(0.25), potentials.ce2(4.0), potentials.ce3()]
 @pytest.mark.parametrize("d,n,R", [(2, 8, 4.0), (2, 16, 2.5), (3, 6, 1.5), (3, 12, 2.5)])
 @pytest.mark.parametrize("pot", NON_SEPARABLE, ids=lambda p: p.label())
 def test_parity_sectors_match_assembled_eigh(d, n, R, pot):
-    # (3, 12, 2.5) is CE2's grid: h = 5/12 mirrors its samples only to rounding.
+    # (3, 12, 2.5) is CE2's grid, with the non-dyadic spacing h = 5/12.
     g = GridSpec(d, n, R)
     V = potentials.discretize_potential(pot, g)
     op = semigroup.dense_schrodinger(g, V)
@@ -326,6 +326,20 @@ def test_parity_sectors_match_assembled_eigh(d, n, R, pot):
         assert np.linalg.norm(applied - want) <= 1e-12 * np.linalg.norm(want)
     recon = semigroup.matrix_function(op, lambda lam: lam)
     assert np.max(np.abs(recon - mat)) <= 1e-12 * np.max(np.abs(mat))
+
+
+def test_ce2_on_a_non_dyadic_grid_is_reflection_symmetric_exactly():
+    # h = 1/3: every mirror pair of samples is equal, so ce2 takes the sectors
+    V = potentials.discretize_potential(potentials.ce2(4.0), GridSpec(3, 24, 4.0))
+    assert semigroup._reflection_symmetric(V)
+
+
+def test_one_ulp_breaks_reflection_symmetry():
+    V = potentials.discretize_potential(potentials.ce2(4.0), GridSpec(3, 12, 2.5))
+    assert semigroup._reflection_symmetric(V)
+    vals = V.values.copy()
+    vals[5, 6, 7] = np.nextafter(vals[5, 6, 7], np.inf)  # mirrors onto [7, 6, 5]
+    assert not semigroup._reflection_symmetric(Field(V.spec, vals))
 
 
 @pytest.mark.parametrize("case", ["uniform", "ce3_shifted"])
