@@ -34,13 +34,15 @@ CSV_COLUMNS = (
 
 def _report_row(r: verify.CheckReport) -> dict:
     cfg = r.config
+    # CE1-CE3 run on sections their notes record, not on cfg's grid and potential
+    grid = {} if r.check_id in verify.COUNTEREXAMPLE_CHECKS else cfg
     return {
         "check_id": r.check_id,
-        "d": cfg.get("d", ""),
-        "n": cfg.get("n", ""),
-        "R": f"{cfg.get('R', ''):g}",
+        "d": ";".join(map(str, cfg["dims"])) if "dims" in cfg else grid.get("d", ""),
+        "n": grid.get("n", ""),
+        "R": f"{grid['R']:g}" if "R" in grid else "",
         # a catalog check names what ran, not cfg.potential, which it ignores
-        "potential": ";".join(cfg["catalog"]) if "catalog" in cfg else cfg.get("potential", ""),
+        "potential": ";".join(cfg["catalog"]) if "catalog" in cfg else grid.get("potential", ""),
         # the exponents the check ran, empty for a check whose note records none
         "p": ";".join(f"{p:g}" for p in cfg.get("p_values", ())),
         "measured": f"{r.measured_value:.12g}",

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from . import potentials
+from .fracpow import log_panels
 from .grid import Field, GridSpec, nested_lp_norms
 
 # Construction constants and gates of the scans.
@@ -44,15 +44,16 @@ CE2_R2_THRESHOLD = 0.99
 CE3_INNER_RADIUS, CE3_REL_TOL = 100.0, 0.05
 GREEN_SAMPLE_RADII = (0.0, 0.5, 1.0, 5.0, 50.0)
 _PANELS_PER_DECADE, _PANEL_ORDER = 8, 16  # the Gauss-Legendre panels of _log_panel_quad
+_PANEL_RULE = leggauss(_PANEL_ORDER)
 
 
 def unit_ball_volume(k: int) -> float:
-    return math.pi ** (k / 2.0) / gamma_fn(k / 2.0 + 1.0)
+    return math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
 
 
 def unit_sphere_area(k: int) -> float:
     """Surface area of the unit sphere S^(k-1) in R^k."""
-    return 2.0 * math.pi ** (k / 2.0) / gamma_fn(k / 2.0)
+    return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +367,7 @@ def _log_panel_quad(fn, a: float, b: float) -> float:
     """Gauss-Legendre panels on a log-spaced subdivision of [a, b]."""
     decades = math.log10(b / a)
     panels = max(2, math.ceil(decades * _PANELS_PER_DECADE))
-    edges = np.geomspace(a, b, panels + 1)
-    gx, gw = roots_legendre(_PANEL_ORDER)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    rad = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + rad[:, None] * gx[None, :]).ravel()
-    w = (rad[:, None] * gw[None, :]).ravel()
+    x, w = log_panels(a, b, panels, *_PANEL_RULE)
     return float(np.sum(w * fn(x)))
 
 

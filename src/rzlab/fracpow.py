@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from . import semigroup, spectral
 from .grid import Field, GridSpec
@@ -68,8 +68,7 @@ class TimeQuadrature:
     power: float
     u_min: float
     u_max: float
-    panels: int
-    order: int
+    panels: int  # of QUAD_ORDER Gauss-Legendre nodes each
     nodes: np.ndarray    # t_i, strictly increasing
     weights: np.ndarray  # w_i > 0, include the dt = 2u du substitution
     spectral_range: tuple[float, float]
@@ -105,6 +104,15 @@ def _range_for(power: float, lam_min: float, lam_max: float, tol: float) -> tupl
 # starts from (each retry multiplies them by 1.6).
 QUAD_ORDER = 12
 QUAD_PANELS_PER_DECADE = 4.0
+_QUAD_RULE = leggauss(QUAD_ORDER)
+
+
+def log_panels(a: float, b: float, panels: int, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
+    """A rule on [-1, 1] moved onto each of `panels` geometric panels of [a, b]."""
+    edges = np.geomspace(a, b, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    rad = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + rad[:, None] * nodes).ravel(), (rad[:, None] * weights).ravel()
 
 
 def build_quadrature(
@@ -129,18 +137,12 @@ def build_quadrature(
             raise QuadratureBuildError(
                 f"tolerance {tol} needs more than {max_panels} panels"
             )
-        gx, gw = roots_legendre(QUAD_ORDER)
-        edges = np.geomspace(u_lo, u_hi, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        rad = 0.5 * (edges[1:] - edges[:-1])
-        u = (mid[:, None] + rad[:, None] * gx[None, :]).ravel()
-        du_w = (rad[:, None] * gw[None, :]).ravel()
+        u, du_w = log_panels(u_lo, u_hi, panels, *_QUAD_RULE)
         quad = TimeQuadrature(
             power=power,
             u_min=u_lo,
             u_max=u_hi,
             panels=panels,
-            order=QUAD_ORDER,
             nodes=u**2,
             weights=2.0 * u * du_w,
             spectral_range=(lam_min, lam_max),

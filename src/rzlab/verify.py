@@ -600,10 +600,10 @@ def check_vhalf(cfg: RunConfig) -> CheckReport:
     """
     rng = rng_for(cfg.seed, "VHALF")
     pot = parse_potential(cfg.potential)
-    ps = (1.25, 1.5, 2.0)
+    dims, ps = (1, 2, 3), (1.25, 1.5, 2.0)
     worst_p2 = -math.inf
     per = {}
-    for d in (1, 2, 3):
+    for d in dims:
         grid = cfg.grid(d=d)
         V = potentials.discretize_potential(pot, grid)
         stack = _stack(trial_family(grid, rng, 24, mean_zero=True))
@@ -613,8 +613,8 @@ def check_vhalf(cfg: RunConfig) -> CheckReport:
             if p == 2.0:
                 worst_p2 = max(worst_p2, per[f"d{d}_p{p:g}"])
     verdict = "pass" if worst_p2 <= 1.0 + DENSE_TOL else "fail"
-    return _report("VHALF", _cfg_note(cfg, p_values=list(ps)), per, "p2_ratio", 1.0, worst_p2,
-                   DENSE_TOL, verdict)
+    return _report("VHALF", _cfg_note(cfg, dims=list(dims), p_values=list(ps)), per, "p2_ratio",
+                   1.0, worst_p2, DENSE_TOL, verdict)
 
 
 def check_ce1(cfg: RunConfig) -> CheckReport:

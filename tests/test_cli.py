@@ -129,6 +129,21 @@ def test_csv_p_column_lists_the_exponents_a_check_ran(tmp_path):
     assert rows["THEOREM"]["p"] == "1.5;2"
 
 
+def test_csv_row_states_the_grid_and_potential_a_check_ran(tmp_path):
+    # THEOREM and VHALF run d = 1, 2, 3 on cfg's n and R; CE1-CE3 run their
+    # own sections, which their notes record, and no cfg potential
+    rows = {}
+    for argv in (("check", "THEOREM"), ("check", "VHALF"), ("verify", "--suite", "counterexamples")):
+        out = tmp_path / argv[-1]
+        assert run_cli(*argv, "--n", "4", "--out", str(out)) == 0
+        rows.update((row["check_id"], row) for row in csv.DictReader(open(out / "reports.csv")))
+    for cid in ("THEOREM", "VHALF"):
+        assert [rows[cid][k] for k in ("d", "n", "R", "potential")] == ["1;2;3", "4", "4", "harmonic"]
+    for cid in ("CE1", "CE2", "CE3"):
+        assert [rows[cid][k] for k in ("d", "n", "R", "potential")] == ["", "", "", ""]
+        assert rows[cid]["verdict"] == "pass"
+
+
 def test_kernel_fk_runs(capsys):
     rc = run_cli(
         "kernel", "--fk", "--potential", "const:2", "--x", "0", "--y", "0.25",
