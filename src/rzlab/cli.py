@@ -39,7 +39,7 @@ def _report_row(r: verify.CheckReport) -> dict:
     return {
         "check_id": r.check_id,
         "d": ";".join(map(str, cfg["dims"])) if "dims" in cfg else grid.get("d", ""),
-        "n": grid.get("n", ""),
+        "n": ";".join(map(str, cfg["ns"])) if "ns" in cfg else grid.get("n", ""),
         "R": f"{grid['R']:g}" if "R" in grid else "",
         # a catalog check names what ran, not cfg.potential, which it ignores
         "potential": ";".join(cfg["catalog"]) if "catalog" in cfg else grid.get("potential", ""),

@@ -116,19 +116,25 @@ def log_panels(a: float, b: float, panels: int, nodes, weights) -> tuple[np.ndar
 
 
 def build_quadrature(
-    power: float,
+    power: float | tuple[float, ...],
     spectral_range: tuple[float, float],
     tol: float = 1e-6,
     max_panels: int = 2000,
-) -> TimeQuadrature:
-    """Build and verify a rule for one power over [lam_min, lam_max]."""
+) -> TimeQuadrature | tuple[TimeQuadrature, ...]:
+    """Build and verify a rule for one power over [lam_min, lam_max].
+
+    A tuple of powers gets one rule per power, all sharing the nodes and
+    weights built on the union of their u-ranges until every one passes.
+    """
     lam_min, lam_max = spectral_range
     if not (0 < lam_min <= lam_max):
         raise ValueError(f"need 0 < lam_min <= lam_max, got {spectral_range}")
-    if power not in POWERS:
+    powers = power if isinstance(power, tuple) else (power,)
+    if not powers or any(p not in POWERS for p in powers):
         raise ValueError(f"power must be one of {POWERS}, got {power}")
 
-    u_lo, u_hi = _range_for(power, lam_min, lam_max, tol)
+    ranges = [_range_for(p, lam_min, lam_max, tol) for p in powers]
+    u_lo, u_hi = min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
     ppd = QUAD_PANELS_PER_DECADE
     for _ in range(6):
         decades = math.log10(u_hi / u_lo)
@@ -138,17 +144,13 @@ def build_quadrature(
                 f"tolerance {tol} needs more than {max_panels} panels"
             )
         u, du_w = log_panels(u_lo, u_hi, panels, *_QUAD_RULE)
-        quad = TimeQuadrature(
-            power=power,
-            u_min=u_lo,
-            u_max=u_hi,
-            panels=panels,
-            nodes=u**2,
-            weights=2.0 * u * du_w,
-            spectral_range=(lam_min, lam_max),
+        nodes, weights = u**2, 2.0 * u * du_w
+        quads = tuple(
+            TimeQuadrature(p, u_lo, u_hi, panels, nodes, weights, (lam_min, lam_max))
+            for p in powers
         )
-        if quad.max_identity_error() <= tol:
-            return quad
+        if all(q.max_identity_error() <= tol for q in quads):
+            return quads if isinstance(power, tuple) else quads[0]
         ppd *= 1.6
         u_lo *= 0.5
         u_hi *= 1.3
@@ -219,8 +221,8 @@ def subordinated_apply_stack(
     stack: np.ndarray,
     V: np.ndarray,
     spec: GridSpec,
-    power: float,
-    quad: TimeQuadrature,
+    power: float | tuple[float, ...],
+    quad: TimeQuadrature | tuple[TimeQuadrature, ...],
     tau0: float = DEFAULT_SUBORDINATION_STEP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature sum over semigroup applications on a field stack.
@@ -229,6 +231,10 @@ def subordinated_apply_stack(
     exactly twice the steps; the two quadrature sums are Richardson-
     combined, which cancels the second-order splitting error.  Nodes
     beyond the spectral decay horizon contribute only their identity part.
+
+    ``power`` may be a tuple of powers and ``quad`` their rules from one
+    :func:`build_quadrature` call: one walk then serves every power, and
+    the result and the estimate gain a leading power axis.
 
     The nodes t_i <= tau0 * DIRECT_NODE_FRACTION, a prefix of the sorted
     rule, are reached from t = 0 in one coarse step and two fine steps.
@@ -239,65 +245,70 @@ def subordinated_apply_stack(
     The sums add the nodes in rule order either way.
 
     The step size is controlled per increment: with r the smallest, over
-    the fields, of |sum so far| / (|state| * sum of the |c_j| still to
-    come), the increment steps at tau0 * max(1, r)^(1/4).  Once the summed
-    part dominates what the remaining nodes can add, their splitting error
-    matters proportionally less.  An increment from t = 0, and any stack
-    with a zero state, steps at tau0; the step sequence is deterministic in
-    the data.
+    the fields and powers, of |sum so far| / (|state| * sum of the |c_j|
+    still to come), the increment steps at tau0 * max(1, r)^(1/4).  Once
+    the summed part dominates what the remaining nodes can add, their
+    splitting error matters proportionally less.  An increment from t = 0,
+    and any stack with a zero state, steps at tau0; the step sequence is
+    deterministic in the data.
 
     Returns (result, estimate): estimate = (fine - coarse) / 3 is the
     embedded estimate of the splitting error of the fine sum before
     extrapolation.
     """
-    t_cut = 37.0 / quad.spectral_range[0]
-    coefs = _node_coefficients(power, quad)
-    on = quad.nodes <= t_cut
-    remaining = np.cumsum(np.where(on, np.abs(coefs), 0.0)[::-1])[::-1]
-    acc_c = np.zeros_like(stack)
-    acc_f = np.zeros_like(stack)
+    walk = isinstance(power, tuple)
+    powers, quads = (power, quad) if walk else ((power,), (quad,))
+    nodes = quads[0].nodes
+    if len(quads) != len(powers) or any(q.nodes is not nodes for q in quads):
+        raise ValueError("a walk needs one rule per power, all sharing their nodes")
+    t_cut = 37.0 / quads[0].spectral_range[0]
+    coefs = np.array([_node_coefficients(p, q) for p, q in zip(powers, quads)])
+    on = nodes <= t_cut
+    remaining = np.cumsum(np.where(on, np.abs(coefs), 0.0)[:, ::-1], axis=1)[:, ::-1]
+    acc_c = np.zeros((len(powers), *stack.shape))
+    acc_f = np.zeros_like(acc_c)
 
-    def add(c_i: float, coarse: np.ndarray, fine: np.ndarray) -> None:
-        if power == 0.5:
-            acc_c[...] += c_i * (coarse - stack)
-            acc_f[...] += c_i * (fine - stack)
-        else:
-            acc_c[...] += c_i * coarse
-            acc_f[...] += c_i * fine
+    def add(i: int, coarse: np.ndarray, fine: np.ndarray) -> None:
+        for k, p in enumerate(powers):
+            if p == 0.5:
+                acc_c[k] += coefs[k, i] * (coarse - stack)
+                acc_f[k] += coefs[k, i] * (fine - stack)
+            else:
+                acc_c[k] += coefs[k, i] * coarse
+                acc_f[k] += coefs[k, i] * fine
 
-    direct = int(np.searchsorted(quad.nodes, min(tau0 * DIRECT_NODE_FRACTION, t_cut), "right"))
+    direct = int(np.searchsorted(nodes, min(tau0 * DIRECT_NODE_FRACTION, t_cut), "right"))
     block = max(1, DIRECT_BLOCK_ELEMENTS // (stack.size + spec.n**2))
     state_c = state_f = stack
     for start in range(0, direct, block):
-        ts = quad.nodes[start : min(start + block, direct)]
+        ts = nodes[start : min(start + block, direct)]
         state_c = semigroup.evolve_stack(stack, V, spec, ts, 1)
         state_f = semigroup.evolve_stack(stack, V, spec, ts, 2)
-        for j, c_i in enumerate(coefs[start : start + len(ts)]):
-            add(c_i, state_c[j], state_f[j])
+        for j in range(len(ts)):
+            add(start + j, state_c[j], state_f[j])
     t_prev = 0.0
     if direct:
-        state_c, state_f, t_prev = state_c[-1], state_f[-1], quad.nodes[direct - 1]
-    for t_i, c_i, on_i, rem_i in zip(
-        quad.nodes[direct:], coefs[direct:], on[direct:], remaining[direct:]
-    ):
-        if on_i:
-            dt = t_i - t_prev
+        state_c, state_f, t_prev = state_c[-1], state_f[-1], nodes[direct - 1]
+    for i in range(direct, len(nodes)):
+        if on[i]:
+            dt = nodes[i] - t_prev
             if dt > 0:
                 tau = tau0
                 if t_prev > 0:
                     state_norms = _field_norms(state_f, spec)
                     if state_norms.min() > 0:
-                        r = (_field_norms(acc_f, spec) / (state_norms * rem_i)).min()
+                        acc_norms = _field_norms(acc_f, spec).reshape(len(powers), -1)
+                        r = (acc_norms / (state_norms * remaining[:, i, None])).min()
                         tau = tau0 * max(1.0, r) ** 0.25
                 steps = max(1, math.ceil(dt / tau))
                 state_c = semigroup.evolve_stack(state_c, V, spec, dt, steps)
                 state_f = semigroup.evolve_stack(state_f, V, spec, dt, 2 * steps)
-                t_prev = t_i
-            add(c_i, state_c, state_f)
-        elif power == 0.5:
-            acc_c -= c_i * stack
-            acc_f -= c_i * stack
-    return (4.0 * acc_f - acc_c) / 3.0, (acc_f - acc_c) / 3.0
+                t_prev = nodes[i]
+            add(i, state_c, state_f)
+        elif 0.5 in powers:  # only the identity part: e^{-tL} f taken as 0
+            add(i, 0.0, 0.0)
+    result, estimate = (4.0 * acc_f - acc_c) / 3.0, (acc_f - acc_c) / 3.0
+    return (result, estimate) if walk else (result[0], estimate[0])
 
 
 def frac_power_apply(

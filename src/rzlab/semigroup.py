@@ -24,7 +24,6 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable
@@ -38,6 +37,8 @@ DEFAULT_DENSE_CAP = 4096
 DEFAULT_STEP_SIZE = 0.01
 DEFAULT_BRIDGE_SLICES = 64
 FK_CHUNK = 8192  # paths per Feynman-Kac chunk; it fixes which seed draws each path
+# Normals drawn at once within a chunk: bounds the memory held, moves no estimate.
+FK_BLOCK_ELEMENTS = 2**15
 # Unit fields per apply_function call when a whole N x N kernel is scanned
 # (W_KERNEL, CE2): the kernel is read COLUMN_BLOCK columns at a time.
 COLUMN_BLOCK = 256
@@ -272,11 +273,23 @@ def _parity_sectors(grid: GridSpec, V: np.ndarray) -> list[tuple[np.ndarray, np.
     return sectors
 
 
+class _Slot(threading.Event):
+    """A build's value or exception, set once and awaited by other threads."""
+
+    value = error = None
+
+    def result(self):
+        self.wait()
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
 class SingleFlightCache:
     """Bounded least-recently-used cache that builds each missing key once.
 
-    A thread that misses installs a future under the key and builds the
-    value; threads asking for the same key meanwhile wait on that future
+    A thread that misses installs a slot under the key and builds the
+    value; threads asking for the same key meanwhile wait on that slot
     instead of building it again.  Only finished entries are evicted, so
     the cache exceeds ``limit`` while more builds than that are in flight.
     A failed build is dropped from the cache and re-raised in every
@@ -290,24 +303,26 @@ class SingleFlightCache:
 
     def get(self, key, build: Callable[[], object]):
         with self._lock:
-            fut = self._entries.pop(key, None)
-            owner = fut is None
+            slot = self._entries.pop(key, None)
+            owner = slot is None
             if owner:
-                done = [k for k, f in self._entries.items() if f.done()]
+                done = [k for k, s in self._entries.items() if s.is_set()]
                 for k in done[: max(0, len(self._entries) + 1 - self.limit)]:
                     del self._entries[k]
-                fut = Future()
-            self._entries[key] = fut
+                slot = _Slot()
+            self._entries[key] = slot
         if owner:
             try:
-                fut.set_result(build())
+                slot.value = build()
             except BaseException as exc:
                 with self._lock:
-                    if self._entries.get(key) is fut:
+                    if self._entries.get(key) is slot:
                         del self._entries[key]
-                fut.set_exception(exc)
+                slot.error = exc
                 raise
-        return fut.result()
+            finally:
+                slot.set()
+        return slot.result()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -433,67 +448,71 @@ def heat_kernel_free(x: np.ndarray, y: np.ndarray, t: float) -> float:
 
 
 def fk_kernel_estimate(
-    V: potentials.PotentialSpec,
+    V: potentials.PotentialSpec | tuple[potentials.PotentialSpec, ...],
     x,
     y,
-    t: float,
+    t,
     paths: int,
     seed: int,
     *,
     slices: int = DEFAULT_BRIDGE_SLICES,
-) -> tuple[float, float]:
+):
     """Monte Carlo kernel estimate k_t(x, y) ~ h_t(x-y) E[exp(-t <V>_bridge)].
 
     Paths are split into chunks of FK_CHUNK paths with per-chunk seeds
     derived from (seed, chunk index), so changing FK_CHUNK changes every
     estimate.  Returns (estimate, standard error).
+
+    With V a tuple of potentials and x, y, t sequences of the endpoints and
+    times of k triples, returns a (len(V), k, 2) table of those pairs.  A
+    chunk's normals are drawn once, FK_BLOCK_ELEMENTS at a time, and serve
+    every triple and potential; each entry equals its own single call.
     """
-    if not (0 < t < math.inf):
-        raise ValueError(f"time must be finite and > 0, got {t}")
+    table = isinstance(V, tuple)
+    specs, triples = (V, list(zip(x, y, t, strict=True))) if table else ((V,), [(x, y, t)])
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     if slices < 1:
         raise ValueError(f"slices must be >= 1, got {slices}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ValueError("endpoints must have the same dimension")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError(f"endpoints must be finite, got x={x.tolist()} y={y.tolist()}")
-    prefactor = heat_kernel_free(x, y, t)
-    if V.tag == "zero":
-        return prefactor, 0.0
-
-    d = len(x)
-    # Midpoint bridge times, plus the terminal time for pinning.  The
-    # semigroup is generated by the full Laplacian, so the bridge variance
-    # is 2s(t-s)/t: increments carry variance 2 dt.
-    times = (np.arange(slices) + 0.5) * (t / slices)
-    all_times = np.concatenate([times, [t]])
-    dts = np.diff(np.concatenate([[0.0], all_times]))
-    sigma = np.sqrt(2.0 * dts)
-
-    def run_chunk(ci: int, count: int) -> tuple[float, float]:
+    ends = []
+    for x, y, t in triples:
+        if not (0 < t < math.inf):
+            raise ValueError(f"time must be finite and > 0, got {t}")
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if x.shape != y.shape or x.shape != (ends[0][0] if ends else x).shape:
+            raise ValueError("endpoints must have the same dimension")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError(f"endpoints must be finite, got x={x.tolist()} y={y.tolist()}")
+        # Midpoint bridge times, plus the terminal time for pinning.  The
+        # semigroup is generated by the full Laplacian, so the bridge
+        # variance is 2s(t-s)/t: increments carry variance 2 dt.
+        times = (np.arange(slices) + 0.5) * (t / slices)
+        sigma = np.sqrt(2.0 * np.diff(np.concatenate([[0.0], times, [t]])))
+        ends.append((x, y, t, sigma[None, :, None], (times / t)[None, :, None]))
+    out = np.zeros((len(specs), len(ends), 2))
+    out[..., 0] = [heat_kernel_free(x, y, t) for x, y, t, _, _ in ends]
+    live = [i for i, spec in enumerate(specs) if spec.tag != "zero"]
+    d = len(ends[0][0]) if ends else 1
+    rows = max(1, FK_BLOCK_ELEMENTS // ((slices + 1) * d))
+    sums = np.zeros_like(out)
+    for ci, start in enumerate(range(0, paths if live else 0, FK_CHUNK)):
+        count = min(FK_CHUNK, paths - start)
         rng = np.random.default_rng([seed, ci])
-        incr = rng.standard_normal((count, slices + 1, d)) * sigma[None, :, None]
-        w = np.cumsum(incr, axis=1)
-        w_end = w[:, -1:, :]
-        frac = (times / t)[None, :, None]
-        bridge = x + frac * (y - x) + w[:, :-1, :] - frac * w_end
-        pot = potentials.eval_capped(V, bridge)
-        weights = np.exp(-(t / slices) * pot.sum(axis=1))
-        return float(weights.sum()), float((weights**2).sum())
-
-    sizes = [FK_CHUNK] * (paths // FK_CHUNK)
-    if paths % FK_CHUNK:
-        sizes.append(paths % FK_CHUNK)
-    parts = [run_chunk(ci, cnt) for ci, cnt in enumerate(sizes)]
-    sw = sum(p[0] for p in parts)
-    sw2 = sum(p[1] for p in parts)
-    mean = sw / paths
-    if paths > 1:
-        var = max(0.0, (sw2 - paths * mean**2) / (paths - 1))
-        stderr = math.sqrt(var / paths)
-    else:
-        stderr = 0.0
-    return prefactor * mean, prefactor * stderr
+        weights = np.empty((len(specs), len(ends), count))
+        for r in range(0, count, rows):
+            z = rng.standard_normal((min(rows, count - r), slices + 1, d))
+            for j, (x, y, t, sigma, frac) in enumerate(ends):
+                w = np.cumsum(z * sigma, axis=1)
+                bridge = x + frac * (y - x) + w[:, :-1, :] - frac * w[:, -1:, :]
+                for i in live:
+                    pot = potentials.eval_capped(specs[i], bridge)
+                    weights[i, j, r : r + len(z)] = np.exp(-(t / slices) * pot.sum(axis=1))
+        for i, j in itertools.product(live, range(len(ends))):
+            sums[i, j] += weights[i, j].sum(), (weights[i, j] ** 2).sum()
+    for i, j in itertools.product(live, range(len(ends))):
+        (prefactor, _), (sw, sw2) = out[i, j].tolist(), sums[i, j].tolist()
+        mean = sw / paths
+        var = max(0.0, (sw2 - paths * mean**2) / (paths - 1)) if paths > 1 else 0.0
+        out[i, j] = prefactor * mean, prefactor * math.sqrt(var / paths)
+    return out if table else tuple(out[0, 0].tolist())

@@ -754,20 +754,20 @@ FK_TRIPLES = ((0.0, 0.0, 0.25), (0.5, -0.25, 0.4), (1.0, 1.0, 0.1))
 def check_fk_oracle(cfg: RunConfig) -> CheckReport:
     """Feynman-Kac estimates within 3 standard errors of the dense kernel."""
     grid = GridSpec(1, 64, cfg.R)
+    pots = (potentials.zero(), potentials.const(2.0), potentials.harmonic())
+    table = semigroup.fk_kernel_estimate(pots, *zip(*FK_TRIPLES), cfg.fk_paths, cfg.seed,
+                                         slices=cfg.fk_slices)
     measured = {}
     ok = True
     worst_sigma = -math.inf
-    for pot in (potentials.zero(), potentials.const(2.0), potentials.harmonic()):
+    for pot, row in zip(pots, table.tolist()):
         V = potentials.discretize_potential(pot, grid)
         op = semigroup.dense_schrodinger(grid, V)
-        for x, y, t in FK_TRIPLES:
+        for (x, y, t), (est, err) in zip(FK_TRIPLES, row):
             ix = grid.flat_index(grid.nearest_index([x]))
             iy = grid.flat_index(grid.nearest_index([y]))
             col = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam), cols=iy)
             dense_val = col[ix, 0] / grid.cell_volume
-            est, err = semigroup.fk_kernel_estimate(
-                pot, [x], [y], t, cfg.fk_paths, cfg.seed, slices=cfg.fk_slices
-            )
             # stderr 0 for path-independent weights: allow discretization floor
             slack = max(3.0 * err, 1e-6 * max(abs(dense_val), abs(est)))
             sig = abs(est - dense_val) / (slack / 3.0) if slack else 0.0
@@ -777,28 +777,34 @@ def check_fk_oracle(cfg: RunConfig) -> CheckReport:
             worst_sigma = max(worst_sigma, sig)
             ok &= abs(est - dense_val) <= slack
     verdict = "pass" if ok else "fail"
-    return _report("FK_ORACLE", _cfg_note(cfg, triples=FK_TRIPLES), measured,
-                   "sigma_distance", 3.0, worst_sigma, 0.0, verdict)
+    note = _cfg_note(cfg, triples=FK_TRIPLES, dims=[grid.d], ns=[grid.n],
+                     catalog=[pot.label() for pot in pots])
+    return _report("FK_ORACLE", note, measured, "sigma_distance", 3.0, worst_sigma, 0.0, verdict)
+
+
+QUAD_GRIDS = ((1, 32), (2, 16))
 
 
 def check_quad_vs_dense(cfg: RunConfig) -> CheckReport:
-    """Quadrature fractional powers against the dense eigendecomposition."""
+    """Quadrature fractional powers, one walk for all three, against dense."""
     rng = rng_for(cfg.seed, "QUAD_VS_DENSE")
     worst = -math.inf
     per = {}
-    for d, n in ((1, 32), (2, 16)):
+    ran = {}
+    for d, n in QUAD_GRIDS:
         grid = GridSpec(d, n, cfg.R)
-        fields = trial_family(grid, rng, 8, mean_zero=True, structured=False)
-        stack = _stack(fields)
+        stack = _stack(trial_family(grid, rng, 8, mean_zero=True, structured=False))
         for pot in potentials.standard_catalog(d):
+            ran[pot.label()] = None
             V = potentials.discretize_potential(pot, grid)
-            srange = fracpow.spectral_bounds(grid, V)
-            for power in fracpow.POWERS:
-                quad = fracpow.build_quadrature(power, srange, tol=cfg.quad_tol)
+            quads = fracpow.build_quadrature(
+                fracpow.POWERS, fracpow.spectral_bounds(grid, V), tol=cfg.quad_tol
+            )
+            gots, ests = fracpow.subordinated_apply_stack(
+                stack, V.values, grid, fracpow.POWERS, quads, tau0=cfg.tau0
+            )
+            for power, got, est in zip(fracpow.POWERS, gots, ests):
                 ref = fracpow.dense_power(grid, V, power, stack)
-                got, est = fracpow.subordinated_apply_stack(
-                    stack, V.values, grid, power, quad, tau0=cfg.tau0
-                )
                 key = f"d{d}_{pot.label()}_pow{power:g}"
                 per[key] = float(np.max(_field_norms(got - ref) / _field_norms(ref)))
                 # splitting-error estimate of the fine sum before
@@ -808,7 +814,9 @@ def check_quad_vs_dense(cfg: RunConfig) -> CheckReport:
                 )
                 worst = max(worst, per[key])
     verdict = "pass" if worst <= 1e-4 else "fail"
-    return _report("QUAD_VS_DENSE", _cfg_note(cfg), per, "rel_l2_err", 0.0, worst, 1e-4, verdict)
+    note = _cfg_note(cfg, dims=[d for d, _ in QUAD_GRIDS], ns=[n for _, n in QUAD_GRIDS],
+                     catalog=list(ran))
+    return _report("QUAD_VS_DENSE", note, per, "rel_l2_err", 0.0, worst, 1e-4, verdict)
 
 
 CHECKS = {

@@ -131,9 +131,11 @@ def test_csv_p_column_lists_the_exponents_a_check_ran(tmp_path):
 
 def test_csv_row_states_the_grid_and_potential_a_check_ran(tmp_path):
     # THEOREM and VHALF run d = 1, 2, 3 on cfg's n and R; CE1-CE3 run their
-    # own sections, which their notes record, and no cfg potential
+    # own sections, which their notes record, and no cfg potential; the
+    # oracles run their own grids and catalogs, whatever cfg's n
     rows = {}
-    for argv in (("check", "THEOREM"), ("check", "VHALF"), ("verify", "--suite", "counterexamples")):
+    for argv in (("check", "THEOREM"), ("check", "VHALF"), ("verify", "--suite", "counterexamples"),
+                 ("verify", "--suite", "oracles")):
         out = tmp_path / argv[-1]
         assert run_cli(*argv, "--n", "4", "--out", str(out)) == 0
         rows.update((row["check_id"], row) for row in csv.DictReader(open(out / "reports.csv")))
@@ -142,6 +144,10 @@ def test_csv_row_states_the_grid_and_potential_a_check_ran(tmp_path):
     for cid in ("CE1", "CE2", "CE3"):
         assert [rows[cid][k] for k in ("d", "n", "R", "potential")] == ["", "", "", ""]
         assert rows[cid]["verdict"] == "pass"
+    assert [rows["FK_ORACLE"][k] for k in ("d", "n", "R", "potential")] == [
+        "1", "64", "4", "zero;const(2);harmonic"]
+    assert [rows["QUAD_VS_DENSE"][k] for k in ("d", "n", "R", "potential")] == [
+        "1;2", "32;16", "4", "zero;const(2);harmonic;ce2(4);ce3;ce1(0.25)"]
 
 
 def test_kernel_fk_runs(capsys):

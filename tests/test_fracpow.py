@@ -136,6 +136,59 @@ def test_direct_node_rule_keeps_quad_vs_dense_accuracy():
     assert err.max() <= 1e-6
 
 
+@pytest.mark.parametrize("power", fracpow.POWERS)
+def test_one_power_tuple_builds_the_single_power_rule(power):
+    (q,) = fracpow.build_quadrature((power,), (0.05, 2000.0))
+    ref = fracpow.build_quadrature(power, (0.05, 2000.0))
+    assert q.power == power and q.panels == ref.panels
+    assert np.array_equal(q.nodes, ref.nodes) and np.array_equal(q.weights, ref.weights)
+
+
+def test_shared_rule_passes_every_power_identity():
+    quads = fracpow.build_quadrature(fracpow.POWERS, (0.14, 2500.0), tol=1e-6)
+    assert [q.power for q in quads] == list(fracpow.POWERS)
+    assert all(q.nodes is quads[0].nodes and q.weights is quads[0].weights for q in quads)
+    for q in quads:
+        assert q.max_identity_error() <= 1e-6
+
+
+@pytest.mark.parametrize("pot", [potentials.harmonic(), potentials.ce2(4.0)], ids=str)
+def test_one_walk_serves_every_power(pot):
+    g = GridSpec(1, 32, 4.0)
+    V = potentials.discretize_potential(pot, g)
+    rng = verify.rng_for(1234, "QUAD_VS_DENSE")
+    stack = np.stack([f.values for f in verify.trial_family(g, rng, 4, structured=False)])
+    quads = fracpow.build_quadrature(fracpow.POWERS, fracpow.spectral_bounds(g, V))
+    got, est = fracpow.subordinated_apply_stack(stack, V.values, g, fracpow.POWERS, quads)
+    assert got.shape == est.shape == (3, *stack.shape)
+    for power, out in zip(fracpow.POWERS, got):
+        ref = fracpow.dense_power(g, V, power, stack)
+        err = np.linalg.norm((out - ref).reshape(4, -1), axis=1) / np.linalg.norm(
+            ref.reshape(4, -1), axis=1
+        )
+        assert err.max() <= 1e-4
+
+
+@pytest.mark.parametrize("power", fracpow.POWERS)
+def test_float_power_is_the_one_element_walk(power):
+    g = GridSpec(1, 32, 4.0)
+    V = potentials.discretize_potential(potentials.ce3(), g)
+    stack = mean_zero_field(g, 5).values[None]
+    quad = fracpow.build_quadrature(power, fracpow.spectral_bounds(g, V))
+    got, est = fracpow.subordinated_apply_stack(stack, V.values, g, power, quad)
+    walk, walk_est = fracpow.subordinated_apply_stack(stack, V.values, g, (power,), (quad,))
+    assert np.array_equal(got, walk[0]) and np.array_equal(est, walk_est[0])
+
+
+def test_walk_rejects_rules_that_do_not_share_nodes():
+    g = GridSpec(1, 16, 4.0)
+    V = potentials.discretize_potential(potentials.harmonic(), g)
+    rules = tuple(fracpow.build_quadrature(p, (1.0, 100.0)) for p in (-0.5, -1.0))
+    with pytest.raises(ValueError):
+        fracpow.subordinated_apply_stack(mean_zero_field(g).values[None], V.values, g,
+                                         (-0.5, -1.0), rules)
+
+
 def test_embedded_estimate_vanishes_for_constant_potential():
     # Strang is exact for constant V, so the fine and coarse sums agree.
     g = GridSpec(1, 32, 4.0)

@@ -59,3 +59,12 @@ def test_module_gauss_rules_integrate_even_monomials_exactly(module):
     assert len(nodes) == len(weights) == order
     for j in range(order):  # 2j <= 2 * order - 2
         assert weights @ nodes ** (2 * j) == pytest.approx(2.0 / (2 * j + 1), abs=1e-14)
+
+
+def test_cold_cli_import_loads_no_thread_pool_or_logging():
+    # the dense cache waits on a threading.Event, not a concurrent.futures.Future
+    probe = ("import sys, rzlab.cli; "
+             "sys.exit(', '.join(m for m in ('concurrent.futures', 'logging') if m in sys.modules) or 0)")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -448,6 +448,35 @@ def test_single_flight_cache_bounded_and_drops_failures():
     assert cache.get("x", lambda: "ok") == "ok"
 
 
+def test_failed_build_is_raised_in_the_waiting_thread():
+    cache = semigroup.SingleFlightCache(limit=2)
+    started, release = threading.Event(), threading.Event()
+    errors = []
+
+    def fail():
+        started.set()
+        release.wait(timeout=5)
+        raise RuntimeError("boom")
+
+    def call():
+        try:
+            cache.get("k", fail)
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    owner = threading.Thread(target=call)
+    owner.start()
+    assert started.wait(timeout=5)
+    waiter = threading.Thread(target=call)
+    waiter.start()
+    time.sleep(0.05)
+    release.set()
+    owner.join(timeout=5)
+    waiter.join(timeout=5)
+    assert not owner.is_alive() and not waiter.is_alive()
+    assert errors == ["boom", "boom"] and len(cache) == 0
+
+
 def test_dense_cache_holds_core_suite_keys():
     # Dense keys of the core suite from THEOREM on: d = 1, 2, 3, then
     # WEAK11 at n and 2n on d = 2, then VHALF at d = 1, 2, 3.
@@ -535,3 +564,33 @@ def test_fk_rejects_bad_args():
         semigroup.fk_kernel_estimate(potentials.zero(), [0.0], [0.0], 0.0, 10, 1)
     with pytest.raises(ValueError):
         semigroup.fk_kernel_estimate(potentials.zero(), [0.0], [0.0], 0.5, 0, 1)
+
+
+FK_SPECS = (potentials.zero(), potentials.const(2.0), potentials.harmonic(), potentials.ce3())
+
+
+@pytest.mark.parametrize("triples,paths,seed", [
+    ([([0.0], [0.0], 0.25), ([0.5], [-0.25], 0.4), ([1.0], [1.0], 0.1)], 20000, 1234),
+    ([([0.0, 0.5], [0.25, -0.5], 0.4), ([0.3, 0.1], [0.0, 0.0], 0.7)], 10000, 7),
+], ids=["d1", "d2-partial-chunk"])
+def test_fk_table_equals_single_estimates_bit_for_bit(triples, paths, seed):
+    table = semigroup.fk_kernel_estimate(FK_SPECS, *zip(*triples), paths, seed)
+    assert table.shape == (len(FK_SPECS), len(triples), 2)
+    for i, spec in enumerate(FK_SPECS):
+        for j, (x, y, t) in enumerate(triples):
+            single = semigroup.fk_kernel_estimate(spec, x, y, t, paths, seed)
+            assert tuple(table[i, j].tolist()) == single
+
+
+@pytest.mark.parametrize("block", [512, 1000, 2**20])
+def test_fk_row_blocks_do_not_move_the_estimates(monkeypatch, block):
+    args = (potentials.ce3(), [0.1, 0.2], [0.3, -0.1], 0.3, 9000, 5)
+    ref = semigroup.fk_kernel_estimate(*args)
+    monkeypatch.setattr(semigroup, "FK_BLOCK_ELEMENTS", block)
+    assert semigroup.fk_kernel_estimate(*args) == ref
+
+
+def test_fk_table_rejects_triples_of_different_dimension():
+    with pytest.raises(ValueError, match="same dimension"):
+        semigroup.fk_kernel_estimate(FK_SPECS, ([0.0], [0.0, 0.0]), ([0.0], [0.0, 0.0]),
+                                     (0.1, 0.1), 10, 1)
