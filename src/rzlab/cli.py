@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import potentials, semigroup, verify
+from . import fracpow, potentials, semigroup, verify
 from .counterexamples import SCANS, divergence_scan
 from .grid import Field, GridSpec, read_field, write_field
 
@@ -152,11 +152,12 @@ def cmd_kernel(args) -> int:
         pot = verify.parse_potential(args.potential)
         x = [float(v) for v in args.x.split(",")]
         y = [float(v) for v in args.y.split(",")]
-        est, err = semigroup.fk_kernel_estimate(
-            pot, x, y, args.t, args.paths, args.seed, slices=args.slices
+        table = semigroup.fk_kernel_estimate(
+            (pot,), [x], [y], [args.t], args.paths, args.seed, slices=args.slices
         )
     except ValueError as exc:
         return _error(exc)
+    est, err = table[0, 0].tolist()
     print(f"kernel_estimate={est:.12g} stderr={err:.12g} "
           f"potential={pot.label()} t={args.t:g} paths={args.paths} seed={args.seed}")
     return 0
@@ -274,7 +275,8 @@ def main(argv=None) -> int:
             return _error(exc)
     try:
         return args.fn(args)
-    except potentials.GridMismatchError as exc:  # custom: on another grid, ce1 at d = 1
+    # custom: on another grid, ce1 at d = 1; a quad_tol no rule reaches
+    except (potentials.GridMismatchError, fracpow.QuadratureBuildError) as exc:
         return _error(exc)
 
 

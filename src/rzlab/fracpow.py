@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import semigroup, spectral
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, l2_norms
 
 C1 = 1.0 / math.sqrt(math.pi)
 C2 = -1.0 / (2.0 * math.sqrt(math.pi))
@@ -63,9 +63,9 @@ def phi_weight(power: float, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TimeQuadrature:
-    """Node/weight rule for one subordination power on [u_min, u_max]."""
+    """Node/weight rule for subordination powers on [u_min, u_max]."""
 
-    power: float
+    powers: tuple[float, ...]
     u_min: float
     u_max: float
     panels: int  # of QUAD_ORDER Gauss-Legendre nodes each
@@ -73,17 +73,19 @@ class TimeQuadrature:
     weights: np.ndarray  # w_i > 0, include the dt = 2u du substitution
     spectral_range: tuple[float, float]
 
-    def scalar_apply(self, lam) -> np.ndarray:
-        """sum_i w_i phi_power(t_i, lam) for scalar or vector lam."""
-        vals = phi_weight(self.power, self.nodes, np.atleast_1d(lam))
-        return vals @ self.weights
+    def scalar_apply(self, power: float, lam) -> np.ndarray:
+        """sum_i w_i phi_power(t_i, lam) for one of the rule's powers."""
+        if power not in self.powers:
+            raise ValueError(f"rule built for powers {self.powers}, not {power}")
+        return phi_weight(power, self.nodes, np.atleast_1d(lam)) @ self.weights
 
     def max_identity_error(self) -> float:
-        """Max relative error of the scalar identity at 20 log-spaced lambdas."""
+        """Max relative error of each power's identity at 20 log-spaced lambdas."""
         lams = np.geomspace(self.spectral_range[0], self.spectral_range[1], 20)
-        approx = self.scalar_apply(lams)
-        exact = lams**self.power
-        return float(np.max(np.abs(approx - exact) / np.abs(exact)))
+        return max(
+            float(np.max(np.abs(self.scalar_apply(p, lams) - lams**p) / np.abs(lams**p)))
+            for p in self.powers
+        )
 
 
 def _range_for(power: float, lam_min: float, lam_max: float, tol: float) -> tuple[float, float]:
@@ -100,10 +102,11 @@ def _range_for(power: float, lam_min: float, lam_max: float, tol: float) -> tupl
     return 0.5 * u_lo, 1.2 * u_hi
 
 
-# Gauss-Legendre nodes per panel, and the panels per decade of u a build
-# starts from (each retry multiplies them by 1.6).
+# Gauss-Legendre nodes per panel, the panels per decade of u a build starts
+# from (each retry multiplies them by 1.6), and the most panels a rule takes.
 QUAD_ORDER = 12
 QUAD_PANELS_PER_DECADE = 4.0
+QUAD_MAX_PANELS = 2000
 _QUAD_RULE = leggauss(QUAD_ORDER)
 
 
@@ -116,22 +119,20 @@ def log_panels(a: float, b: float, panels: int, nodes, weights) -> tuple[np.ndar
 
 
 def build_quadrature(
-    power: float | tuple[float, ...],
+    powers: tuple[float, ...],
     spectral_range: tuple[float, float],
     tol: float = 1e-6,
-    max_panels: int = 2000,
-) -> TimeQuadrature | tuple[TimeQuadrature, ...]:
-    """Build and verify a rule for one power over [lam_min, lam_max].
+) -> TimeQuadrature:
+    """Build and verify one rule for ``powers`` over [lam_min, lam_max].
 
-    A tuple of powers gets one rule per power, all sharing the nodes and
-    weights built on the union of their u-ranges until every one passes.
+    The nodes and weights are built on the union of the powers' u-ranges
+    and refined until every power's identity passes.
     """
     lam_min, lam_max = spectral_range
     if not (0 < lam_min <= lam_max):
         raise ValueError(f"need 0 < lam_min <= lam_max, got {spectral_range}")
-    powers = power if isinstance(power, tuple) else (power,)
-    if not powers or any(p not in POWERS for p in powers):
-        raise ValueError(f"power must be one of {POWERS}, got {power}")
+    if not isinstance(powers, tuple) or not powers or any(p not in POWERS for p in powers):
+        raise ValueError(f"powers must be a tuple drawn from {POWERS}, got {powers}")
 
     ranges = [_range_for(p, lam_min, lam_max, tol) for p in powers]
     u_lo, u_hi = min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
@@ -139,23 +140,20 @@ def build_quadrature(
     for _ in range(6):
         decades = math.log10(u_hi / u_lo)
         panels = max(4, math.ceil(decades * ppd))
-        if panels > max_panels:
+        if panels > QUAD_MAX_PANELS:
             raise QuadratureBuildError(
-                f"tolerance {tol} needs more than {max_panels} panels"
+                f"tolerance {tol} needs more than {QUAD_MAX_PANELS} panels"
             )
         u, du_w = log_panels(u_lo, u_hi, panels, *_QUAD_RULE)
-        nodes, weights = u**2, 2.0 * u * du_w
-        quads = tuple(
-            TimeQuadrature(p, u_lo, u_hi, panels, nodes, weights, (lam_min, lam_max))
-            for p in powers
-        )
-        if all(q.max_identity_error() <= tol for q in quads):
-            return quads if isinstance(power, tuple) else quads[0]
+        quad = TimeQuadrature(powers, u_lo, u_hi, panels, u**2, 2.0 * u * du_w,
+                              (lam_min, lam_max))
+        if quad.max_identity_error() <= tol:
+            return quad
         ppd *= 1.6
         u_lo *= 0.5
         u_hi *= 1.3
     raise QuadratureBuildError(
-        f"scalar identity for power {power} did not reach tol {tol}"
+        f"scalar identity for powers {powers} did not reach tol {tol}"
     )
 
 
@@ -211,30 +209,24 @@ def _node_coefficients(power: float, quad: TimeQuadrature) -> np.ndarray:
     return w * C2 * t**-1.5
 
 
-def _field_norms(stack: np.ndarray, spec: GridSpec) -> np.ndarray:
-    # what np.linalg.norm(axis=1) computes, bit for bit, without its overhead
-    x = stack.reshape(-1, spec.num_points)
-    return np.sqrt(np.add.reduce(x * x, axis=1))
-
-
 def subordinated_apply_stack(
     stack: np.ndarray,
-    V: np.ndarray,
-    spec: GridSpec,
+    V: Field,
     power: float | tuple[float, ...],
-    quad: TimeQuadrature | tuple[TimeQuadrature, ...],
+    tol: float = 1e-6,
     tau0: float = DEFAULT_SUBORDINATION_STEP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature sum over semigroup applications on a field stack.
+    """L^power of each field of a stack on V's grid, by subordination.
 
-    Each node is reached by a coarse Strang run and a lockstep fine run at
-    exactly twice the steps; the two quadrature sums are Richardson-
-    combined, which cancels the second-order splitting error.  Nodes
-    beyond the spectral decay horizon contribute only their identity part.
+    The rule is :func:`build_quadrature` of the powers over
+    :func:`spectral_bounds` of V, verified to ``tol``.  Each node is
+    reached by a coarse Strang run and a lockstep fine run at exactly twice
+    the steps; the two quadrature sums are Richardson-combined, which
+    cancels the second-order splitting error.  Nodes beyond the spectral
+    decay horizon contribute only their identity part.
 
-    ``power`` may be a tuple of powers and ``quad`` their rules from one
-    :func:`build_quadrature` call: one walk then serves every power, and
-    the result and the estimate gain a leading power axis.
+    ``power`` may be a tuple of powers: one rule and one walk then serve
+    every power, and the result and the estimate gain a leading power axis.
 
     The nodes t_i <= tau0 * DIRECT_NODE_FRACTION, a prefix of the sorted
     rule, are reached from t = 0 in one coarse step and two fine steps.
@@ -257,12 +249,10 @@ def subordinated_apply_stack(
     extrapolation.
     """
     walk = isinstance(power, tuple)
-    powers, quads = (power, quad) if walk else ((power,), (quad,))
-    nodes = quads[0].nodes
-    if len(quads) != len(powers) or any(q.nodes is not nodes for q in quads):
-        raise ValueError("a walk needs one rule per power, all sharing their nodes")
-    t_cut = 37.0 / quads[0].spectral_range[0]
-    coefs = np.array([_node_coefficients(p, q) for p, q in zip(powers, quads)])
+    powers, spec = power if walk else (power,), V.spec
+    quad = build_quadrature(powers, spectral_bounds(spec, V), tol)
+    nodes, t_cut = quad.nodes, 37.0 / quad.spectral_range[0]
+    coefs = np.array([_node_coefficients(p, quad) for p in powers])
     on = nodes <= t_cut
     remaining = np.cumsum(np.where(on, np.abs(coefs), 0.0)[:, ::-1], axis=1)[:, ::-1]
     acc_c = np.zeros((len(powers), *stack.shape))
@@ -282,8 +272,8 @@ def subordinated_apply_stack(
     state_c = state_f = stack
     for start in range(0, direct, block):
         ts = nodes[start : min(start + block, direct)]
-        state_c = semigroup.evolve_stack(stack, V, spec, ts, 1)
-        state_f = semigroup.evolve_stack(stack, V, spec, ts, 2)
+        state_c = semigroup.evolve_stack(stack, V.values, spec, ts, 1)
+        state_f = semigroup.evolve_stack(stack, V.values, spec, ts, 2)
         for j in range(len(ts)):
             add(start + j, state_c[j], state_f[j])
     t_prev = 0.0
@@ -295,14 +285,14 @@ def subordinated_apply_stack(
             if dt > 0:
                 tau = tau0
                 if t_prev > 0:
-                    state_norms = _field_norms(state_f, spec)
+                    state_norms = l2_norms(state_f, spec)
                     if state_norms.min() > 0:
-                        acc_norms = _field_norms(acc_f, spec).reshape(len(powers), -1)
+                        acc_norms = l2_norms(acc_f, spec).reshape(len(powers), -1)
                         r = (acc_norms / (state_norms * remaining[:, i, None])).min()
                         tau = tau0 * max(1.0, r) ** 0.25
                 steps = max(1, math.ceil(dt / tau))
-                state_c = semigroup.evolve_stack(state_c, V, spec, dt, steps)
-                state_f = semigroup.evolve_stack(state_f, V, spec, dt, 2 * steps)
+                state_c = semigroup.evolve_stack(state_c, V.values, spec, dt, steps)
+                state_f = semigroup.evolve_stack(state_f, V.values, spec, dt, 2 * steps)
                 t_prev = nodes[i]
             add(i, state_c, state_f)
         elif 0.5 in powers:  # only the identity part: e^{-tL} f taken as 0
@@ -311,24 +301,11 @@ def subordinated_apply_stack(
     return (result, estimate) if walk else (result[0], estimate[0])
 
 
-def frac_power_apply(
-    f: Field,
-    V: Field,
-    power: float,
-    quad: TimeQuadrature | None = None,
-    *,
-    tau0: float = DEFAULT_SUBORDINATION_STEP,
-    tol: float = 1e-6,
-) -> Field:
+def frac_power_apply(f: Field, V: Field, power: float) -> Field:
     """Apply L^power by subordination of the splitting semigroup."""
-    if power not in POWERS:
-        raise ValueError(f"power must be one of {POWERS}, got {power}")
+    semigroup._check_potential(V, f.spec)
     _mean_zero_required(V, f)
-    if quad is None:
-        quad = build_quadrature(power, spectral_bounds(f.spec, V), tol=tol)
-    out, _ = subordinated_apply_stack(
-        f.values[None], V.values, f.spec, power, quad, tau0=tau0
-    )
+    out, _ = subordinated_apply_stack(f.values[None], V, power)
     return Field(f.spec, out[0])
 
 

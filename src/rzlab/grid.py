@@ -165,6 +165,12 @@ def lp_norms(stack: np.ndarray, spec: GridSpec, p: float) -> np.ndarray:
     return np.array([float(s) ** (1.0 / p) for s in sums])
 
 
+def l2_norms(stack: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """l2 norm (no h^d) of each field of a stack: np.linalg.norm(axis=1), bit for bit."""
+    x = stack.reshape(-1, spec.num_points)
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def lp_ratios(num: np.ndarray, den: np.ndarray, spec: GridSpec, p: float) -> np.ndarray:
     """Per-field ||num_i||_p / ||den_i||_p; a zero field in ``den`` raises."""
     bottom = lp_norms(den, spec, p)

@@ -26,7 +26,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -448,28 +448,27 @@ def heat_kernel_free(x: np.ndarray, y: np.ndarray, t: float) -> float:
 
 
 def fk_kernel_estimate(
-    V: potentials.PotentialSpec | tuple[potentials.PotentialSpec, ...],
-    x,
-    y,
-    t,
+    specs: Sequence[potentials.PotentialSpec],
+    xs,
+    ys,
+    ts,
     paths: int,
     seed: int,
     *,
     slices: int = DEFAULT_BRIDGE_SLICES,
-):
-    """Monte Carlo kernel estimate k_t(x, y) ~ h_t(x-y) E[exp(-t <V>_bridge)].
+) -> np.ndarray:
+    """Monte Carlo kernel estimates k_t(x, y) ~ h_t(x-y) E[exp(-t <V>_bridge)].
+
+    ``xs``, ``ys`` and ``ts`` hold the endpoints and times of k triples.
+    Returns a (len(specs), k, 2) table of (estimate, standard error).
 
     Paths are split into chunks of FK_CHUNK paths with per-chunk seeds
     derived from (seed, chunk index), so changing FK_CHUNK changes every
-    estimate.  Returns (estimate, standard error).
-
-    With V a tuple of potentials and x, y, t sequences of the endpoints and
-    times of k triples, returns a (len(V), k, 2) table of those pairs.  A
-    chunk's normals are drawn once, FK_BLOCK_ELEMENTS at a time, and serve
-    every triple and potential; each entry equals its own single call.
+    estimate.  A chunk's normals are drawn once, FK_BLOCK_ELEMENTS at a
+    time, and serve every triple and potential; each entry equals the
+    table of its own potential and triple alone.
     """
-    table = isinstance(V, tuple)
-    specs, triples = (V, list(zip(x, y, t, strict=True))) if table else ((V,), [(x, y, t)])
+    triples = list(zip(xs, ys, ts, strict=True))
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
     if slices < 1:
@@ -515,4 +514,4 @@ def fk_kernel_estimate(
         mean = sw / paths
         var = max(0.0, (sw2 - paths * mean**2) / (paths - 1)) if paths > 1 else 0.0
         out[i, j] = prefactor * mean, prefactor * math.sqrt(var / paths)
-    return out if table else tuple(out[0, 0].tolist())
+    return out

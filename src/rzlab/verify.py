@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import counterexamples, fracpow, potentials, riesz, semigroup, spectral
-from .grid import Field, GridSpec, lp_norm, lp_ratios, weak_l1
+from .grid import Field, GridSpec, l2_norms, lp_norm, lp_ratios, weak_l1
 
 DENSE_TOL = 1e-6
 QUAD_TOL = 1e-3
@@ -250,11 +250,6 @@ def _stack(fields: list[Field]) -> np.ndarray:
     return np.stack([f.values for f in fields])
 
 
-def _field_norms(stack: np.ndarray) -> np.ndarray:
-    """l2 norm of each field of a (batch, *grid shape) stack."""
-    return np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
-
-
 def _field_max(stack: np.ndarray) -> np.ndarray:
     """max |value| of each field (or vector field) of a stack."""
     return np.abs(stack).reshape(len(stack), -1).max(axis=1)
@@ -364,14 +359,14 @@ def check_l2_contract(cfg: RunConfig) -> CheckReport:
     grid = cfg.grid()
     fields = trial_family(grid, rng, cfg.trials, mean_zero=True, structured=False)
     stack = _stack(fields)
-    norms = np.linalg.norm(stack.reshape(len(stack), -1), axis=1)
+    norms = l2_norms(stack, grid)
     worst = -math.inf
     per = {}
     catalog = potentials.standard_catalog(grid.d)
     for pot in catalog:
         V = potentials.discretize_potential(pot, grid)
         out = riesz.factor_from_inv_sqrt(fracpow.dense_power(grid, V, -0.5, stack), grid)
-        ratios = np.linalg.norm(out.reshape(len(out), -1), axis=1) / norms
+        ratios = l2_norms(out, grid) / norms
         per[pot.label()] = float(ratios.max())
         worst = max(worst, per[pot.label()])
     verdict = "pass" if worst <= 1.0 + DENSE_TOL else "fail"
@@ -510,11 +505,8 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
         # quadrature backend cross-check on a small subset: the dense
         # reference, the quadrature result and its splitting estimate go
         # through the same Riesz map
-        quad = fracpow.build_quadrature(
-            -0.5, fracpow.spectral_bounds(grid, V), tol=cfg.quad_tol
-        )
         qhalves, qests = fracpow.subordinated_apply_stack(
-            stack[:QUAD_FIELDS], V.values, grid, -0.5, quad, tau0=cfg.tau0
+            stack[:QUAD_FIELDS], V, -0.5, tol=cfg.quad_tol, tau0=cfg.tau0
         )
         ref, qcomps, ecomps = (
             riesz.riesz_from_inv_sqrt(x, grid, route="factored").components
@@ -797,21 +789,17 @@ def check_quad_vs_dense(cfg: RunConfig) -> CheckReport:
         for pot in potentials.standard_catalog(d):
             ran[pot.label()] = None
             V = potentials.discretize_potential(pot, grid)
-            quads = fracpow.build_quadrature(
-                fracpow.POWERS, fracpow.spectral_bounds(grid, V), tol=cfg.quad_tol
-            )
             gots, ests = fracpow.subordinated_apply_stack(
-                stack, V.values, grid, fracpow.POWERS, quads, tau0=cfg.tau0
+                stack, V, fracpow.POWERS, tol=cfg.quad_tol, tau0=cfg.tau0
             )
             for power, got, est in zip(fracpow.POWERS, gots, ests):
                 ref = fracpow.dense_power(grid, V, power, stack)
                 key = f"d{d}_{pot.label()}_pow{power:g}"
-                per[key] = float(np.max(_field_norms(got - ref) / _field_norms(ref)))
+                den = l2_norms(ref, grid)
+                per[key] = float(np.max(l2_norms(got - ref, grid) / den))
                 # splitting-error estimate of the fine sum before
                 # extrapolation, next to the measured error; not gated
-                per[f"{key}_fine_splitting_est"] = float(
-                    np.max(_field_norms(est) / _field_norms(ref))
-                )
+                per[f"{key}_fine_splitting_est"] = float(np.max(l2_norms(est, grid) / den))
                 worst = max(worst, per[key])
     verdict = "pass" if worst <= 1e-4 else "fail"
     note = _cfg_note(cfg, dims=[d for d, _ in QUAD_GRIDS], ns=[n for _, n in QUAD_GRIDS],

@@ -277,6 +277,17 @@ def test_ce1_at_d1_exits_2_with_one_line(tmp_path, capsys, argv):
     assert "ce1 needs d >= 2" in err and "GridSpec(d=1," in err
 
 
+@pytest.mark.parametrize("check", ["THEOREM", "QUAD_VS_DENSE"])
+def test_unreachable_quad_tol_exits_2_with_one_line(tmp_path, capsys, check):
+    out = tmp_path / "rep"
+    rc = run_cli("check", check, "--quad-tol", "1e-30", "--out", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rzlab: error: ") and err.count("\n") == 1
+    assert "1e-30" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_with_config_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"d": 1, "n": 16, "trials": 8, "seed": 5}))

@@ -28,17 +28,23 @@ def test_constants():
 
 
 def test_scalar_identity_examples():
-    q = fracpow.build_quadrature(-1.0, (0.5, 20.0))
-    assert q.scalar_apply(1.0)[0] == pytest.approx(1.0, abs=1e-6)
-    q = fracpow.build_quadrature(-0.5, (0.5, 20.0))
-    assert q.scalar_apply(4.0)[0] == pytest.approx(0.5, abs=1e-6)
-    q = fracpow.build_quadrature(0.5, (0.5, 20.0))
-    assert q.scalar_apply(9.0)[0] == pytest.approx(3.0, abs=1e-5)
+    q = fracpow.build_quadrature((-1.0,), (0.5, 20.0))
+    assert q.scalar_apply(-1.0, 1.0)[0] == pytest.approx(1.0, abs=1e-6)
+    q = fracpow.build_quadrature((-0.5,), (0.5, 20.0))
+    assert q.scalar_apply(-0.5, 4.0)[0] == pytest.approx(0.5, abs=1e-6)
+    q = fracpow.build_quadrature((0.5,), (0.5, 20.0))
+    assert q.scalar_apply(0.5, 9.0)[0] == pytest.approx(3.0, abs=1e-5)
+
+
+def test_rule_refuses_a_power_it_was_not_built_for():
+    q = fracpow.build_quadrature((-0.5,), (0.5, 20.0))
+    with pytest.raises(ValueError, match="not 0.5"):
+        q.scalar_apply(0.5, 9.0)
 
 
 @pytest.mark.parametrize("power", [-0.5, -1.0, 0.5])
 def test_quadrature_structure_and_range(power):
-    q = fracpow.build_quadrature(power, (0.05, 2000.0))
+    q = fracpow.build_quadrature((power,), (0.05, 2000.0))
     assert np.all(np.diff(q.nodes) > 0)
     assert np.all(q.weights > 0)
     assert q.u_min > 0
@@ -47,14 +53,19 @@ def test_quadrature_structure_and_range(power):
 
 def test_quadrature_rejects_bad_range():
     with pytest.raises(ValueError):
-        fracpow.build_quadrature(-0.5, (0.0, 1.0))
+        fracpow.build_quadrature((-0.5,), (0.0, 1.0))
     with pytest.raises(ValueError):
-        fracpow.build_quadrature(-0.25, (0.5, 1.0))
+        fracpow.build_quadrature((-0.25,), (0.5, 1.0))
+    with pytest.raises(ValueError, match="tuple"):
+        fracpow.build_quadrature(-0.5, (0.5, 1.0))  # a bare float is not a tuple of powers
+    with pytest.raises(ValueError):
+        fracpow.build_quadrature((), (0.5, 1.0))
 
 
-def test_unreachable_tolerance_raises():
-    with pytest.raises(fracpow.QuadratureBuildError):
-        fracpow.build_quadrature(0.5, (1e-9, 1e9), tol=1e-6, max_panels=10)
+def test_unreachable_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(fracpow, "QUAD_MAX_PANELS", 10)
+    with pytest.raises(fracpow.QuadratureBuildError, match="more than 10 panels"):
+        fracpow.build_quadrature((0.5,), (1e-9, 1e9), tol=1e-6)
 
 
 def test_frac_power_zero_potential_matches_multiplier():
@@ -100,7 +111,6 @@ def test_step_controller_halves_the_strang_work(monkeypatch):
     V = potentials.discretize_potential(potentials.ce2(4.0), g)
     fields = verify.trial_family(g, verify.rng_for(1, "QUAD_VS_DENSE"), 8, structured=False)
     stack = np.stack([f.values for f in fields])
-    quad = fracpow.build_quadrature(-1.0, fracpow.spectral_bounds(g, V))
     steps = []
     evolve = semigroup.evolve_stack
 
@@ -109,7 +119,7 @@ def test_step_controller_halves_the_strang_work(monkeypatch):
         return evolve(stack, V, spec, t, n_steps)
 
     monkeypatch.setattr(semigroup, "evolve_stack", counting)
-    got, est = fracpow.subordinated_apply_stack(stack, V.values, g, -1.0, quad)
+    got, est = fracpow.subordinated_apply_stack(stack, V, -1.0)
     ref = fracpow.dense_power(g, V, -1.0, stack)
     err = np.linalg.norm((got - ref).reshape(8, -1), axis=1) / np.linalg.norm(
         ref.reshape(8, -1), axis=1
@@ -127,8 +137,7 @@ def test_direct_node_rule_keeps_quad_vs_dense_accuracy():
     rng = verify.rng_for(1234, "QUAD_VS_DENSE")
     fields = verify.trial_family(g, rng, 8, mean_zero=True, structured=False)
     stack = np.stack([f.values for f in fields])
-    quad = fracpow.build_quadrature(-0.5, fracpow.spectral_bounds(g, V), tol=1e-6)
-    got, _ = fracpow.subordinated_apply_stack(stack, V.values, g, -0.5, quad)
+    got, _ = fracpow.subordinated_apply_stack(stack, V, -0.5, tol=1e-6)
     ref = fracpow.dense_power(g, V, -0.5, stack)
     err = np.linalg.norm((got - ref).reshape(8, -1), axis=1) / np.linalg.norm(
         ref.reshape(8, -1), axis=1
@@ -136,20 +145,35 @@ def test_direct_node_rule_keeps_quad_vs_dense_accuracy():
     assert err.max() <= 1e-6
 
 
-@pytest.mark.parametrize("power", fracpow.POWERS)
-def test_one_power_tuple_builds_the_single_power_rule(power):
-    (q,) = fracpow.build_quadrature((power,), (0.05, 2000.0))
-    ref = fracpow.build_quadrature(power, (0.05, 2000.0))
-    assert q.power == power and q.panels == ref.panels
-    assert np.array_equal(q.nodes, ref.nodes) and np.array_equal(q.weights, ref.weights)
-
-
 def test_shared_rule_passes_every_power_identity():
-    quads = fracpow.build_quadrature(fracpow.POWERS, (0.14, 2500.0), tol=1e-6)
-    assert [q.power for q in quads] == list(fracpow.POWERS)
-    assert all(q.nodes is quads[0].nodes and q.weights is quads[0].weights for q in quads)
-    for q in quads:
-        assert q.max_identity_error() <= 1e-6
+    quad = fracpow.build_quadrature(fracpow.POWERS, (0.14, 2500.0), tol=1e-6)
+    assert quad.powers == fracpow.POWERS
+    lams = np.geomspace(0.14, 2500.0, 20)
+    errs = [np.max(np.abs(quad.scalar_apply(p, lams) - lams**p) / lams**p) for p in quad.powers]
+    assert quad.max_identity_error() == max(errs) <= 1e-6
+
+
+def test_walk_builds_its_rule_from_the_spectral_bounds_of_v(monkeypatch):
+    g = GridSpec(1, 16, 4.0)
+    V = potentials.discretize_potential(potentials.harmonic(), g)
+    built = []
+    build = fracpow.build_quadrature
+
+    def recording(powers, spectral_range, tol):
+        built.append((powers, spectral_range, tol))
+        return build(powers, spectral_range, tol)
+
+    monkeypatch.setattr(fracpow, "build_quadrature", recording)
+    fracpow.subordinated_apply_stack(mean_zero_field(g).values[None], V, -0.5, tol=1e-5)
+    fracpow.subordinated_apply_stack(mean_zero_field(g).values[None], V, fracpow.POWERS)
+    bounds = fracpow.spectral_bounds(g, V)
+    assert built == [((-0.5,), bounds, 1e-5), (fracpow.POWERS, bounds, 1e-6)]
+
+
+def test_frac_power_rejects_a_potential_on_another_grid():
+    V = potentials.discretize_potential(potentials.harmonic(), GridSpec(1, 32, 2.0))
+    with pytest.raises(ValueError, match="grid"):
+        fracpow.frac_power_apply(mean_zero_field(GridSpec(1, 32, 4.0)), V, -0.5)
 
 
 @pytest.mark.parametrize("pot", [potentials.harmonic(), potentials.ce2(4.0)], ids=str)
@@ -158,8 +182,7 @@ def test_one_walk_serves_every_power(pot):
     V = potentials.discretize_potential(pot, g)
     rng = verify.rng_for(1234, "QUAD_VS_DENSE")
     stack = np.stack([f.values for f in verify.trial_family(g, rng, 4, structured=False)])
-    quads = fracpow.build_quadrature(fracpow.POWERS, fracpow.spectral_bounds(g, V))
-    got, est = fracpow.subordinated_apply_stack(stack, V.values, g, fracpow.POWERS, quads)
+    got, est = fracpow.subordinated_apply_stack(stack, V, fracpow.POWERS)
     assert got.shape == est.shape == (3, *stack.shape)
     for power, out in zip(fracpow.POWERS, got):
         ref = fracpow.dense_power(g, V, power, stack)
@@ -174,19 +197,9 @@ def test_float_power_is_the_one_element_walk(power):
     g = GridSpec(1, 32, 4.0)
     V = potentials.discretize_potential(potentials.ce3(), g)
     stack = mean_zero_field(g, 5).values[None]
-    quad = fracpow.build_quadrature(power, fracpow.spectral_bounds(g, V))
-    got, est = fracpow.subordinated_apply_stack(stack, V.values, g, power, quad)
-    walk, walk_est = fracpow.subordinated_apply_stack(stack, V.values, g, (power,), (quad,))
+    got, est = fracpow.subordinated_apply_stack(stack, V, power)
+    walk, walk_est = fracpow.subordinated_apply_stack(stack, V, (power,))
     assert np.array_equal(got, walk[0]) and np.array_equal(est, walk_est[0])
-
-
-def test_walk_rejects_rules_that_do_not_share_nodes():
-    g = GridSpec(1, 16, 4.0)
-    V = potentials.discretize_potential(potentials.harmonic(), g)
-    rules = tuple(fracpow.build_quadrature(p, (1.0, 100.0)) for p in (-0.5, -1.0))
-    with pytest.raises(ValueError):
-        fracpow.subordinated_apply_stack(mean_zero_field(g).values[None], V.values, g,
-                                         (-0.5, -1.0), rules)
 
 
 def test_embedded_estimate_vanishes_for_constant_potential():
@@ -194,8 +207,7 @@ def test_embedded_estimate_vanishes_for_constant_potential():
     g = GridSpec(1, 32, 4.0)
     V = potentials.discretize_potential(potentials.const(2.0), g)
     f = mean_zero_field(g, 3)
-    quad = fracpow.build_quadrature(-0.5, fracpow.spectral_bounds(g, V))
-    got, est = fracpow.subordinated_apply_stack(f.values[None], V.values, g, -0.5, quad)
+    got, est = fracpow.subordinated_apply_stack(f.values[None], V, -0.5)
     assert np.linalg.norm(est) <= 1e-12 * np.linalg.norm(got)
 
 

@@ -22,7 +22,7 @@ COLD_RUN = """
 import sys
 import rzlab, rzlab.cli
 from rzlab import counterexamples, fracpow
-fracpow.build_quadrature(-0.5, (1.0, 1e3))
+fracpow.build_quadrature((-0.5,), (1.0, 1e3))
 counterexamples.ce3_tail(1e3)
 counterexamples.unit_sphere_area(3)
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")

@@ -527,15 +527,22 @@ def test_dense_semigroup_is_splitting_limit(g1):
 # Feynman-Kac
 
 
+def fk_one(spec, x, y, t, paths, seed):
+    """(estimate, stderr) of one potential and one triple: a 1 x 1 table."""
+    table = semigroup.fk_kernel_estimate((spec,), [x], [y], [t], paths, seed)
+    assert table.shape == (1, 1, 2)
+    return tuple(table[0, 0].tolist())
+
+
 def test_fk_zero_potential_exact():
-    est, err = semigroup.fk_kernel_estimate(potentials.zero(), [0.3], [-0.2], 0.5, 50, 1)
+    est, err = fk_one(potentials.zero(), [0.3], [-0.2], 0.5, 50, 1)
     assert err == 0.0
     assert est == pytest.approx(semigroup.heat_kernel_free(np.array([0.3]), np.array([-0.2]), 0.5))
 
 
 def test_fk_constant_potential_exact():
     c, t = 2.0, 0.5
-    est, err = semigroup.fk_kernel_estimate(potentials.const(c), [0.0], [0.4], t, 200, 2)
+    est, err = fk_one(potentials.const(c), [0.0], [0.4], t, 200, 2)
     expect = math.exp(-c * t) * semigroup.heat_kernel_free(np.array([0.0]), np.array([0.4]), t)
     assert est == pytest.approx(expect, rel=1e-12)
     # weights are path-independent; stderr is pure cancellation round-off
@@ -550,20 +557,23 @@ def test_fk_harmonic_matches_dense_kernel():
     mat = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam))
     i0 = g.flat_index(g.nearest_index([0.0]))
     dense_val = mat[i0, i0] / g.cell_volume
-    est, err = semigroup.fk_kernel_estimate(potentials.harmonic(), [0.0], [0.0], t, 20000, 11)
+    est, err = fk_one(potentials.harmonic(), [0.0], [0.0], t, 20000, 11)
     assert abs(est - dense_val) <= 3.0 * err
 
 
 def test_fk_deterministic():
-    args = (potentials.ce3(), [0.1, 0.0, 0.0], [0.0, 0.2, 0.0], 0.3, 5000, 9)
-    assert semigroup.fk_kernel_estimate(*args) == semigroup.fk_kernel_estimate(*args)
+    args = ((potentials.ce3(),), [[0.1, 0.0, 0.0]], [[0.0, 0.2, 0.0]], [0.3], 5000, 9)
+    assert np.array_equal(semigroup.fk_kernel_estimate(*args), semigroup.fk_kernel_estimate(*args))
 
 
 def test_fk_rejects_bad_args():
     with pytest.raises(ValueError):
-        semigroup.fk_kernel_estimate(potentials.zero(), [0.0], [0.0], 0.0, 10, 1)
+        fk_one(potentials.zero(), [0.0], [0.0], 0.0, 10, 1)
     with pytest.raises(ValueError):
-        semigroup.fk_kernel_estimate(potentials.zero(), [0.0], [0.0], 0.5, 0, 1)
+        fk_one(potentials.zero(), [0.0], [0.0], 0.5, 0, 1)
+    with pytest.raises(ValueError):  # two endpoints, one time
+        semigroup.fk_kernel_estimate((potentials.zero(),), [[0.0], [0.1]], [[0.0], [0.1]],
+                                     [0.5], 10, 1)
 
 
 FK_SPECS = (potentials.zero(), potentials.const(2.0), potentials.harmonic(), potentials.ce3())
@@ -578,16 +588,15 @@ def test_fk_table_equals_single_estimates_bit_for_bit(triples, paths, seed):
     assert table.shape == (len(FK_SPECS), len(triples), 2)
     for i, spec in enumerate(FK_SPECS):
         for j, (x, y, t) in enumerate(triples):
-            single = semigroup.fk_kernel_estimate(spec, x, y, t, paths, seed)
-            assert tuple(table[i, j].tolist()) == single
+            assert tuple(table[i, j].tolist()) == fk_one(spec, x, y, t, paths, seed)
 
 
 @pytest.mark.parametrize("block", [512, 1000, 2**20])
 def test_fk_row_blocks_do_not_move_the_estimates(monkeypatch, block):
-    args = (potentials.ce3(), [0.1, 0.2], [0.3, -0.1], 0.3, 9000, 5)
+    args = ((potentials.ce3(),), [[0.1, 0.2]], [[0.3, -0.1]], [0.3], 9000, 5)
     ref = semigroup.fk_kernel_estimate(*args)
     monkeypatch.setattr(semigroup, "FK_BLOCK_ELEMENTS", block)
-    assert semigroup.fk_kernel_estimate(*args) == ref
+    assert np.array_equal(semigroup.fk_kernel_estimate(*args), ref)
 
 
 def test_fk_table_rejects_triples_of_different_dimension():
