@@ -247,7 +247,7 @@ def _check_deltas(deltas, h: float) -> np.ndarray:
     return deltas
 
 
-def ce1_scan(eps: float, p: float, deltas=None, *, section_n: int = 4096) -> ScanReport:
+def ce1_scan(eps: float | tuple, p: float | tuple, deltas=None, *, section_n: int = 4096):
     """Restricted p-norm growth of the near-axis profile |x1| r^(eps-2).
 
     A(delta) is the p-norm over delta < r < 1/2 on a fine 2D section of
@@ -255,11 +255,20 @@ def ce1_scan(eps: float, p: float, deltas=None, *, section_n: int = 4096) -> Sca
     coordinates, which contribute a fixed volume factor).  For admissible
     eps the log-log slope is eps - 1 + 2/p; past the admissibility
     threshold the norm converges and the slope flattens to ~0.
+
+    ``eps`` and ``p`` may be equal-length tuples: one walk then serves every
+    pair and returns a tuple of reports.  A float pair is the one-element walk.
     """
-    if not math.isfinite(eps):
-        raise ValueError(f"CE1 exponent eps must be finite, got {eps}")
-    if not (math.isfinite(p) and p >= 1):
-        raise ValueError(f"CE1 needs a finite p >= 1, got {p}")
+    walk = isinstance(eps, tuple)
+    eps_t, p_t = (tuple(eps), tuple(p)) if walk else ((eps,), (p,))
+    if not eps_t or len(eps_t) != len(p_t):
+        raise ValueError(f"CE1 needs equal-length, nonempty eps and p, got {eps} and {p}")
+    pairs = list(zip(eps_t, p_t))
+    for e, q in pairs:
+        if not math.isfinite(e):
+            raise ValueError(f"CE1 exponent eps must be finite, got {e}")
+        if not (math.isfinite(q) and q >= 1):
+            raise ValueError(f"CE1 needs a finite p >= 1, got {q}")
     if deltas is None:
         # The pure power law emerges only for delta well inside the outer
         # radius 1/2; larger deltas see the outer-boundary curvature.
@@ -273,39 +282,41 @@ def ce1_scan(eps: float, p: float, deltas=None, *, section_n: int = 4096) -> Sca
     # k = n/2 (at 0; k = 0 lies outside the disk): walk the quadrant x1, x2 >= 0.
     ax = section.axis()[section_n // 2 :]
     ax2 = ax**2
-    weight = np.where(ax > 0, 4.0, 2.0) ** (1.0 / p)  # multiplicity^(1/p) by x2, x1 > 0
+    mult = np.where(ax > 0, 4.0, 2.0)  # samples each quadrant sample stands for, by x2
+    log_ax = np.log(ax, out=np.full_like(ax, -np.inf), where=ax > 0)
 
     def disk_rows(rows: slice):
+        # |x1 r^(eps-2)|^p from logs every pair shares; the origin lies in no region
         r = np.sqrt(ax2[rows, None] + ax2)
-        inside = r < 0.5
+        inside = (r < 0.5) & (r > 0)
         r = r[inside]
-        x1 = (ax[rows, None] * weight)[inside]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return r, np.where(r > 0, x1 * r ** (eps - 2.0), 0.0)
+        log_r = np.log(r)
+        log_x1 = np.broadcast_to(log_ax[rows, None], inside.shape)[inside]
+        weight = np.broadcast_to(mult, inside.shape)[inside]
+        density = np.empty((len(pairs), r.size))
+        for row, (e, q) in zip(density, pairs):
+            np.exp(q * ((e - 2.0) * log_r + log_x1), out=row)
+        density *= weight
+        return r, density
 
-    slab = (2.0 * CE1_AMBIENT_R) ** ((AMBIENT_D - 2) / p)
     quadrant = GridSpec(2, section_n // 2, section.R / 2.0)  # same h; needs n/2 even
-    values = slab * nested_lp_norms(quadrant, p, deltas, disk_rows)
-    slope, intercept, r2 = _linear_fit(np.log(deltas), np.log(values))
-    expected = eps - 1.0 + 2.0 / p
-    admissible = eps < 1.0 - 2.0 / p
-    if r2 < CE1_R2_THRESHOLD and admissible:
-        verdict = "inconclusive"
-    elif admissible:
-        verdict = "pass" if abs(slope - expected) <= CE1_SLOPE_TOL else "fail"
-    else:
-        verdict = "pass" if slope >= -0.02 else "fail"
-    return ScanReport(
-        kind="ce1",
-        xs=deltas,
-        values=values,
-        fit_slope=slope,
-        fit_intercept=intercept,
-        fit_r2=r2,
-        expected_slope=expected if admissible else None,
-        verdict=verdict,
-        extras={"eps": eps, "p": p, "admissible": admissible, "section": section},
-    )
+    reports = []
+    for (e, q), values in zip(pairs, nested_lp_norms(quadrant, p_t, deltas, disk_rows)):
+        values = (2.0 * CE1_AMBIENT_R) ** ((AMBIENT_D - 2) / q) * values
+        slope, intercept, r2 = _linear_fit(np.log(deltas), np.log(values))
+        expected = e - 1.0 + 2.0 / q
+        admissible = e < 1.0 - 2.0 / q
+        if r2 < CE1_R2_THRESHOLD and admissible:
+            verdict = "inconclusive"
+        elif admissible:
+            verdict = "pass" if abs(slope - expected) <= CE1_SLOPE_TOL else "fail"
+        else:
+            verdict = "pass" if slope >= -0.02 else "fail"
+        reports.append(ScanReport(
+            "ce1", deltas, values, slope, intercept, r2, expected if admissible else None,
+            verdict, extras={"eps": e, "p": q, "admissible": admissible, "section": section},
+        ))
+    return tuple(reports) if walk else reports[0]
 
 
 def ce2_lower_bound_field(grid: GridSpec, p: float) -> Field:

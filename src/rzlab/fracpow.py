@@ -18,7 +18,10 @@ The semigroup applications are Strang runs (:func:`semigroup.evolve_stack`).
 Most of a rule's nodes lie far below the subordination step; every node
 t <= tau0 / 16 is reached from t = 0 directly, and these nodes are evolved
 together, a block of times per call.  The nodes above advance one from
-the next under a step controller.
+the next under a step controller.  The node sums are array products, one
+contraction per block of direct nodes and power, one broadcast update per
+later node; the +1/2 terms keep e^{-t_i L} f - f per node, so the large
+coefficients of the small nodes multiply a difference, not two states.
 
 The dense companion is :func:`dense_power`, L^power on a field stack
 through :func:`semigroup.apply_function`; for V = 0 it is the
@@ -234,7 +237,6 @@ def subordinated_apply_stack(
     m * (stack.size + n^2) <= DIRECT_BLOCK_ELEMENTS, which bounds the
     evolved states and heat circulants held at once.  From the last of
     them the state advances incrementally through the remaining nodes.
-    The sums add the nodes in rule order either way.
 
     The step size is controlled per increment: with r the smallest, over
     the fields and powers, of |sum so far| / (|state| * sum of the |c_j|
@@ -255,48 +257,44 @@ def subordinated_apply_stack(
     coefs = np.array([_node_coefficients(p, quad) for p in powers])
     on = nodes <= t_cut
     remaining = np.cumsum(np.where(on, np.abs(coefs), 0.0)[:, ::-1], axis=1)[:, ::-1]
+    # the +1/2 integrand is e^{-tL} f - f: its node terms are c_i (state - f)
+    base = np.multiply.outer([p == 0.5 for p in powers], stack)
+    power_axis = (-1,) + (1,) * stack.ndim  # a node's coefficients, one per power
     acc_c = np.zeros((len(powers), *stack.shape))
     acc_f = np.zeros_like(acc_c)
-
-    def add(i: int, coarse: np.ndarray, fine: np.ndarray) -> None:
-        for k, p in enumerate(powers):
-            if p == 0.5:
-                acc_c[k] += coefs[k, i] * (coarse - stack)
-                acc_f[k] += coefs[k, i] * (fine - stack)
-            else:
-                acc_c[k] += coefs[k, i] * coarse
-                acc_f[k] += coefs[k, i] * fine
 
     direct = int(np.searchsorted(nodes, min(tau0 * DIRECT_NODE_FRACTION, t_cut), "right"))
     block = max(1, DIRECT_BLOCK_ELEMENTS // (stack.size + spec.n**2))
     state_c = state_f = stack
     for start in range(0, direct, block):
-        ts = nodes[start : min(start + block, direct)]
-        state_c = semigroup.evolve_stack(stack, V.values, spec, ts, 1)
-        state_f = semigroup.evolve_stack(stack, V.values, spec, ts, 2)
-        for j in range(len(ts)):
-            add(start + j, state_c[j], state_f[j])
+        sl = slice(start, min(start + block, direct))
+        state_c = semigroup.evolve_stack(stack, V.values, spec, nodes[sl], 1)
+        state_f = semigroup.evolve_stack(stack, V.values, spec, nodes[sl], 2)
+        for acc, states in ((acc_c, state_c), (acc_f, state_f)):
+            for k, p in enumerate(powers):
+                acc[k] += np.tensordot(coefs[k, sl], states - stack if p == 0.5 else states, 1)
     t_prev = 0.0
     if direct:
         state_c, state_f, t_prev = state_c[-1], state_f[-1], nodes[direct - 1]
-    for i in range(direct, len(nodes)):
-        if on[i]:
-            dt = nodes[i] - t_prev
-            if dt > 0:
-                tau = tau0
-                if t_prev > 0:
-                    state_norms = l2_norms(state_f, spec)
-                    if state_norms.min() > 0:
-                        acc_norms = l2_norms(acc_f, spec).reshape(len(powers), -1)
-                        r = (acc_norms / (state_norms * remaining[:, i, None])).min()
-                        tau = tau0 * max(1.0, r) ** 0.25
-                steps = max(1, math.ceil(dt / tau))
-                state_c = semigroup.evolve_stack(state_c, V.values, spec, dt, steps)
-                state_f = semigroup.evolve_stack(state_f, V.values, spec, dt, 2 * steps)
-                t_prev = nodes[i]
-            add(i, state_c, state_f)
-        elif 0.5 in powers:  # only the identity part: e^{-tL} f taken as 0
-            add(i, 0.0, 0.0)
+    for i in range(direct, int(on.sum())):
+        tau = tau0
+        if t_prev > 0:
+            state_norms = l2_norms(state_f, spec)
+            if state_norms.min() > 0:
+                acc_norms = l2_norms(acc_f, spec).reshape(len(powers), -1)
+                r = (acc_norms / (state_norms * remaining[:, i, None])).min()
+                tau = tau0 * max(1.0, r) ** 0.25
+        dt = nodes[i] - t_prev
+        steps = max(1, math.ceil(dt / tau))
+        state_c = semigroup.evolve_stack(state_c, V.values, spec, dt, steps)
+        state_f = semigroup.evolve_stack(state_f, V.values, spec, dt, 2 * steps)
+        t_prev = nodes[i]
+        acc_c += coefs[:, i].reshape(power_axis) * (state_c - base)
+        acc_f += coefs[:, i].reshape(power_axis) * (state_f - base)
+    # past t_cut e^{-tL} f is taken as 0: only the +1/2 identity part is left
+    off = coefs[:, ~on].sum(axis=1).reshape(power_axis) * base
+    acc_c -= off
+    acc_f -= off
     result, estimate = (4.0 * acc_f - acc_c) / 3.0, (acc_f - acc_c) / 3.0
     return (result, estimate) if walk else (result[0], estimate[0])
 

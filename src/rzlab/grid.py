@@ -181,40 +181,45 @@ def lp_ratios(num: np.ndarray, den: np.ndarray, spec: GridSpec, p: float) -> np.
 
 # Samples per block of nested_lp_norms: its memory stays a few arrays of
 # this size, whatever the grid size.
-_BLOCK_POINTS = 1 << 20
+_BLOCK_POINTS = 1 << 18
 
 
-def nested_lp_norms(spec: GridSpec, p: float, cutoffs, block) -> np.ndarray:
+def nested_lp_norms(spec: GridSpec, p: float | tuple, cutoffs, block) -> np.ndarray:
     """Riemann-sum L^p norms over the nested regions {rho > c}, one per cutoff.
 
-    ``block(rows)`` returns ``(rho, values)`` for the samples whose axis-0
-    index lies in the slice ``rows``; a sample it leaves out lies in no
-    region.  ``cutoffs`` must be strictly decreasing.  Each sample is
-    binned once by the number of cutoffs it exceeds, and per-shell sums
-    accumulated from the outside in give every region, so the grid is
-    walked once, in row blocks, whatever the number of cutoffs.  Entry i
-    equals ``lp_norm(f, p, rho > cutoffs[i])`` up to summation order; an
-    empty region yields 0 with a warning.
+    ``block(rows)`` returns ``(rho, density)`` for the samples whose axis-0
+    index lies in the slice ``rows``, ``density`` being |f|^p; a sample it
+    leaves out lies in no region.  For a tuple of m exponents ``p``,
+    ``density`` has one row per exponent, binned by the same ``rho``, and
+    the result a leading axis of length m.  ``cutoffs`` must be strictly
+    decreasing.  Each sample is binned once by the number of cutoffs it
+    exceeds, and per-shell sums accumulated from the outside in give every
+    region, so the grid is walked once, in row blocks.  Entry i equals
+    ``lp_norm(f, p, rho > cutoffs[i])`` up to summation order; an empty
+    region yields 0 with a warning.
     """
-    if p < 1:
+    ps = np.array(p if isinstance(p, tuple) else (p,), dtype=float)
+    if not np.all(ps >= 1):
         raise ValueError(f"p must be >= 1, got {p}")
     ascending = np.asarray(cutoffs, dtype=float)[::-1]
     if not np.all(np.diff(ascending) > 0):
         raise ValueError("cutoffs must be strictly decreasing")
     k = ascending.size
-    mass = np.zeros(k + 1)
+    mass = np.zeros((ps.size, k + 1))
     top = 0
     rows = max(1, _BLOCK_POINTS // spec.n ** (spec.d - 1))
     for start in range(0, spec.n, rows):
-        rho, vals = block(slice(start, start + rows))
+        rho, density = block(slice(start, start + rows))
         # shell j holds the samples above exactly j cutoffs (strict >)
         shell = np.searchsorted(ascending, np.ravel(rho), side="left")
-        mass += np.bincount(shell, np.abs(np.ravel(vals)) ** p, minlength=k + 1)
+        mass += [np.bincount(shell, row, minlength=k + 1) for row in density.reshape(ps.size, -1)]
         top = max(top, int(shell.max(initial=0)))
+        del rho, density, shell  # not held while the next block is built
     # region i (cutoffs[i]) is shells k - i .. k, empty unless a sample reached k - i
     if top < k:
         warnings.warn("lp_norm over an empty region", stacklevel=2)
-    return (np.cumsum(mass[::-1])[:-1] * spec.cell_volume) ** (1.0 / p)
+    norms = (np.cumsum(mass[:, ::-1], axis=1)[:, :-1] * spec.cell_volume) ** (1.0 / ps[:, None])
+    return norms if isinstance(p, tuple) else norms[0]
 
 
 def weak_l1(f: Field) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def _full_section_ce1(eps, p, deltas, section_n):
         x1 = np.broadcast_to(ax[rows, None], inside.shape)[inside]
         r = r[inside]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return r, np.where(r > 0, np.abs(x1) * r ** (eps - 2.0), 0.0)
+            return r, np.where(r > 0, np.abs(x1) * r ** (eps - 2.0), 0.0) ** p
 
     return 5.0 ** (1.0 / p) * nested_lp_norms(section, p, deltas, disk_rows)
 
@@ -139,6 +140,68 @@ def test_ce1_scan_rejects_section_with_odd_half():
     # the quadrant grid has n/2 points per axis, which must be even
     with pytest.raises(ValueError, match="even integer >= 4, got 129$"):
         ce.ce1_scan(0.25, 4.0, 2.0 ** np.linspace(-3, -5, 3), section_n=258)
+
+
+CE1_PAIRS = ((0.1, 3.0), (0.25, 4.0), (0.4, 8.0), (0.8, 4.0))  # CE1's lattice, then its control
+
+
+@pytest.mark.parametrize("section_n", [256, 1024])
+def test_ce1_shared_walk_matches_per_pair_scans(section_n):
+    deltas = 2.0 ** np.linspace(-3, -5.5 if section_n == 256 else -7.5, 6)  # >= 4h
+    eps, ps = zip(*CE1_PAIRS)
+    reps = ce.ce1_scan(eps, ps, deltas, section_n=section_n)
+    assert len(reps) == len(CE1_PAIRS)
+    for (e, p), rep in zip(CE1_PAIRS, reps):
+        one = ce.ce1_scan(e, p, deltas, section_n=section_n)
+        np.testing.assert_allclose(rep.values, one.values, rtol=1e-13, atol=0)
+        assert rep.extras == one.extras and rep.verdict == one.verdict
+
+
+@pytest.mark.parametrize("eps,p", CE1_PAIRS)
+def test_ce1_float_pair_is_the_one_element_walk(eps, p):
+    deltas = 2.0 ** np.linspace(-3, -5.5, 6)
+    rep = ce.ce1_scan(eps, p, deltas, section_n=256)
+    (walk,) = ce.ce1_scan((eps,), (p,), deltas, section_n=256)
+    assert np.array_equal(rep.values, walk.values)
+    assert (rep.fit_slope, rep.fit_intercept, rep.fit_r2, rep.verdict) == (
+        walk.fit_slope, walk.fit_intercept, walk.fit_r2, walk.verdict)
+
+
+def test_ce1_scan_rejects_unpaired_exponents():
+    with pytest.raises(ValueError, match="equal-length, nonempty"):
+        ce.ce1_scan((0.25, 0.1), (4.0,))
+    with pytest.raises(ValueError, match="equal-length, nonempty"):
+        ce.ce1_scan((), ())
+    with pytest.raises(ValueError, match="finite p"):
+        ce.ce1_scan((0.25, 0.1), (4.0, math.nan))
+
+
+def test_nested_lp_norms_of_several_value_sets_equal_one_call_per_set():
+    g = GridSpec(2, 16, 1.5)
+    rng = np.random.default_rng(3)
+    rho = rng.uniform(0.0, 1.0, g.shape)
+    values = rng.standard_normal((3, *g.shape))
+    ps = (1.0, 2.5, 6.0)
+    cutoffs = [0.8, 0.5, 0.1]
+    dens = np.abs(values) ** np.array(ps)[:, None, None]
+    got = nested_lp_norms(g, ps, cutoffs, lambda rows: (rho[rows], dens[:, rows]))
+    assert got.shape == (3, 3)
+    for k, p in enumerate(ps):
+        one = nested_lp_norms(g, p, cutoffs, lambda rows: (rho[rows], dens[k, rows]))
+        np.testing.assert_array_equal(got[k], one)
+
+
+def test_ce1_shared_walk_memory():
+    # four separate scans on blocks of 2^20 samples peaked at 48.6 MiB
+    # (tracemalloc); the shared walk on blocks of 2^18 peaks near 16.3 MiB
+    eps, ps = zip(*CE1_PAIRS)
+    tracemalloc.start()
+    try:
+        ce.ce1_scan(eps, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
 
 
 def test_ce2_scan_log_growth():

@@ -202,6 +202,46 @@ def test_float_power_is_the_one_element_walk(power):
     assert np.array_equal(got, walk[0]) and np.array_equal(est, walk_est[0])
 
 
+@pytest.mark.parametrize("d,n,pot", [(1, 32, potentials.ce2(4.0)), (2, 16, potentials.harmonic())],
+                         ids=["d1-ce2", "d2-harmonic"])
+def test_walk_sums_match_a_per_node_reference(monkeypatch, d, n, pot):
+    # The walk forms its node sums as array products; the reference adds
+    # c_i * state_i node by node over the same Strang states.
+    g = GridSpec(d, n, 4.0)
+    V = potentials.discretize_potential(pot, g)
+    rng = verify.rng_for(1234, "QUAD_VS_DENSE")
+    stack = np.stack([f.values for f in verify.trial_family(g, rng, 4, structured=False)])
+    calls = []  # (steps, states): a coarse call, then its fine twin
+    evolve = semigroup.evolve_stack
+
+    def recording(start, V, spec, t, n_steps):
+        out = evolve(start, V, spec, t, n_steps)
+        calls.append((n_steps, out if np.ndim(t) else out[None]))
+        return out
+
+    monkeypatch.setattr(semigroup, "evolve_stack", recording)
+    got, _ = fracpow.subordinated_apply_stack(stack, V, fracpow.POWERS)
+    assert all(2 * c == f for (c, _), (f, _) in zip(calls[0::2], calls[1::2]))
+    coarse = np.concatenate([out for _, out in calls[0::2]])
+    fine = np.concatenate([out for _, out in calls[1::2]])
+    quad = fracpow.build_quadrature(fracpow.POWERS, fracpow.spectral_bounds(g, V), 1e-6)
+    t, w = quad.nodes, quad.weights
+    coefs = {-0.5: w * fracpow.C1 / np.sqrt(t), -1.0: w, 0.5: w * fracpow.C2 * t**-1.5}
+    reached = len(coarse)  # the nodes past the horizon take e^{-tL} f as 0
+    assert len(fine) == reached < len(t)
+    for k, power in enumerate(fracpow.POWERS):
+        shift = stack if power == 0.5 else 0.0
+        sums = []
+        for states in (coarse, fine):
+            acc = 0.0
+            for i, c in enumerate(coefs[power]):
+                acc = acc + c * ((states[i] if i < reached else 0.0) - shift)
+            sums.append(acc)
+        ref = (4.0 * sums[1] - sums[0]) / 3.0
+        err = np.linalg.norm(got[k] - ref) / np.linalg.norm(ref)
+        assert err <= (1e-8 if power == 0.5 else 1e-12), (power, err)
+
+
 def test_embedded_estimate_vanishes_for_constant_potential():
     # Strang is exact for constant V, so the fine and coarse sums agree.
     g = GridSpec(1, 32, 4.0)

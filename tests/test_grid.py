@@ -223,7 +223,8 @@ def test_nested_lp_norms_match_masked_lp_norm(d, n, p, cuts, block_points, empty
             warnings.catch_warnings(record=True) as got_warn:
         warnings.simplefilter("always")
         got = nested_lp_norms(
-            g, p, cutoffs, lambda rows: (rho[rows][keep[rows]], f.values[rows][keep[rows]])
+            g, p, cutoffs,
+            lambda rows: (rho[rows][keep[rows]], np.abs(f.values[rows][keep[rows]]) ** p),
         )
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert bool(ref_warn) == bool(got_warn)

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -193,6 +194,22 @@ def test_report_contains_config_and_measured():
     assert raw["config"]["n"] == 32
     assert "rel_frobenius_err" in raw["measured"]
     assert raw["verdict"] == "pass"
+
+
+def test_composition_reads_its_matrices_in_column_blocks():
+    # Holding the N x N matrices took about 48 MiB here; blocks of
+    # semigroup.COLUMN_BLOCK unit fields take about 12 MiB.
+    cfg = verify.RunConfig(d=2, n=32)
+    grid = cfg.grid()
+    semigroup.dense_schrodinger(grid, potentials.discretize_potential(potentials.harmonic(), grid))
+    tracemalloc.start()
+    try:
+        rep = verify.run_check("COMPOSITION", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "pass" and rep.measured_value <= 1e-10
+    assert peak < 16 * 2**20
 
 
 def test_core_reports_do_not_depend_on_concurrent_callers(monkeypatch):
