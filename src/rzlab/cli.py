@@ -275,8 +275,9 @@ def main(argv=None) -> int:
             return _error(exc)
     try:
         return args.fn(args)
-    # custom: on another grid, ce1 at d = 1; a quad_tol no rule reaches
-    except (potentials.GridMismatchError, fracpow.QuadratureBuildError) as exc:
+    # custom: on another grid, ce1 at d = 1; a quad_tol no rule reaches; past the dense cap
+    except (potentials.GridMismatchError, fracpow.QuadratureBuildError,
+            semigroup.DenseCapError) as exc:
         return _error(exc)
 
 

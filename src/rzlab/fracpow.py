@@ -24,7 +24,8 @@ later node; the +1/2 terms keep e^{-t_i L} f - f per node, so the large
 coefficients of the small nodes multiply a difference, not two states.
 
 The dense companion is :func:`dense_power`, L^power on a field stack
-through :func:`semigroup.apply_function`; for V = 0 it is the
+through :func:`semigroup.apply_function`.  Both routes take (stack, V,
+power), and for V = 0 (:func:`semigroup.vanishes`) both give the
 pseudo-inverse, 0 on the constants.  The summary of the perturbation kernel
 W of sqrt(-Delta) L^(-1/2) = I + c2 * W is formed from it a block of rows
 at a time.  The Green-mass functional is one linear solve.
@@ -39,7 +40,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import semigroup, spectral
-from .grid import Field, GridSpec, l2_norms
+from .grid import Field, l2_norms
 
 C1 = 1.0 / math.sqrt(math.pi)
 C2 = -1.0 / (2.0 * math.sqrt(math.pi))
@@ -160,33 +161,14 @@ def build_quadrature(
     )
 
 
-def spectral_bounds(grid: GridSpec, V: Field) -> tuple[float, float]:
-    """Spectral range of L for quadrature sizing.
+def spectral_bounds(V: Field) -> tuple[float, float]:
+    """Spectral range of L for quadrature sizing, from the dense operator.
 
-    Uses the dense oracle when the grid is under the cap, otherwise the
-    bounds [crude gap estimate, |xi|^2_max + max V].
+    (smallest eigenvalue off :func:`semigroup.zero_modes`, largest
+    eigenvalue); past the dense cap :class:`semigroup.DenseCapError`.
     """
-    vmax = float(V.values.max())
-    if grid.num_points <= semigroup.dense_cap():
-        lam = semigroup.dense_schrodinger(grid, V).eigenvalues
-        if semigroup.zero_modes(lam).any():
-            # V == 0: smallest nonzero mode of -Delta on mean-zero fields
-            return (math.pi / grid.R) ** 2, float(lam.max())
-        return float(lam.min()), float(lam.max())
-    xi_max2 = grid.d * (math.pi * grid.n / (2.0 * grid.R)) ** 2
-    vmean = float(V.values.mean())
-    lam_min = max(0.5 * vmean, (math.pi / grid.R) ** 2 if vmax == 0 else 1e-3)
-    return lam_min, xi_max2 + vmax
-
-
-def _mean_zero_required(V: Field, f: Field) -> None:
-    if float(V.values.max()) == 0.0:
-        mean = float(f.values.mean())
-        scale = float(np.abs(f.values).max()) or 1.0
-        if abs(mean) > 1e-10 * scale:
-            raise ValueError(
-                "V = 0 makes L singular on constants; supply a mean-zero field"
-            )
+    lam = semigroup.dense_schrodinger(V).eigenvalues
+    return float(lam[~semigroup.zero_modes(lam)].min()), float(lam.max())
 
 
 DEFAULT_SUBORDINATION_STEP = 0.04
@@ -221,6 +203,9 @@ def subordinated_apply_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """L^power of each field of a stack on V's grid, by subordination.
 
+    For V = 0 each field's mean is removed first: the walk then gives
+    :func:`dense_power`'s pseudo-inverse for every power.
+
     The rule is :func:`build_quadrature` of the powers over
     :func:`spectral_bounds` of V, verified to ``tol``.  Each node is
     reached by a coarse Strang run and a lockstep fine run at exactly twice
@@ -252,7 +237,9 @@ def subordinated_apply_stack(
     """
     walk = isinstance(power, tuple)
     powers, spec = power if walk else (power,), V.spec
-    quad = build_quadrature(powers, spectral_bounds(spec, V), tol)
+    quad = build_quadrature(powers, spectral_bounds(V), tol)
+    if semigroup.vanishes(V):
+        stack = stack - stack.mean(axis=tuple(range(-spec.d, 0)), keepdims=True)
     nodes, t_cut = quad.nodes, 37.0 / quad.spectral_range[0]
     coefs = np.array([_node_coefficients(p, quad) for p in powers])
     on = nodes <= t_cut
@@ -268,8 +255,8 @@ def subordinated_apply_stack(
     state_c = state_f = stack
     for start in range(0, direct, block):
         sl = slice(start, min(start + block, direct))
-        state_c = semigroup.evolve_stack(stack, V.values, spec, nodes[sl], 1)
-        state_f = semigroup.evolve_stack(stack, V.values, spec, nodes[sl], 2)
+        state_c = semigroup.evolve_stack(stack, V, nodes[sl], 1)
+        state_f = semigroup.evolve_stack(stack, V, nodes[sl], 2)
         for acc, states in ((acc_c, state_c), (acc_f, state_f)):
             for k, p in enumerate(powers):
                 acc[k] += np.tensordot(coefs[k, sl], states - stack if p == 0.5 else states, 1)
@@ -286,8 +273,8 @@ def subordinated_apply_stack(
                 tau = tau0 * max(1.0, r) ** 0.25
         dt = nodes[i] - t_prev
         steps = max(1, math.ceil(dt / tau))
-        state_c = semigroup.evolve_stack(state_c, V.values, spec, dt, steps)
-        state_f = semigroup.evolve_stack(state_f, V.values, spec, dt, 2 * steps)
+        state_c = semigroup.evolve_stack(state_c, V, dt, steps)
+        state_f = semigroup.evolve_stack(state_f, V, dt, 2 * steps)
         t_prev = nodes[i]
         acc_c += coefs[:, i].reshape(power_axis) * (state_c - base)
         acc_f += coefs[:, i].reshape(power_axis) * (state_f - base)
@@ -302,21 +289,20 @@ def subordinated_apply_stack(
 def frac_power_apply(f: Field, V: Field, power: float) -> Field:
     """Apply L^power by subordination of the splitting semigroup."""
     semigroup._check_potential(V, f.spec)
-    _mean_zero_required(V, f)
     out, _ = subordinated_apply_stack(f.values[None], V, power)
     return Field(f.spec, out[0])
 
 
-def green_mass_all(grid: GridSpec, V: Field) -> np.ndarray:
-    """Green mass at every grid point at once, as one linear solve.
+def green_mass_all(V: Field) -> np.ndarray:
+    """Green mass at every point of V's grid at once, as one linear solve.
 
     The Green kernel is symmetric, so the masses are L^(-1) V: the h^d of
     the quadrature cancels the 1/h^d of the kernel scaling.  V = 0 gives 0.
     """
-    semigroup._check_potential(V, grid)
-    if float(V.values.max()) == 0.0:
-        return np.zeros(grid.num_points)
-    return np.linalg.solve(semigroup.schrodinger_matrix(grid, V.values), V.values.ravel())
+    semigroup._check_potential(V)
+    if semigroup.vanishes(V):
+        return np.zeros(V.spec.num_points)
+    return np.linalg.solve(semigroup.schrodinger_matrix(V.spec, V.values), V.values.ravel())
 
 
 @dataclass(frozen=True)
@@ -328,17 +314,17 @@ class PerturbationKernel:
     max_column_mass: float
 
 
-def dense_power(grid: GridSpec, V: Field, power: float, stack: np.ndarray) -> np.ndarray:
-    """L^power applied to a (batch, *grid shape) stack in the eigenbasis.
+def dense_power(stack: np.ndarray, V: Field, power: float) -> np.ndarray:
+    """L^power applied to a (batch, *grid shape) stack on V's grid, in the eigenbasis.
 
-    This is the one dense power, and the one place that decides what a
-    power does on the kernel of L: for V = 0, phi is 0 on the zero modes
-    (the pseudo-inverse), so negative powers act on mean-zero fields.
+    This is the one dense power: for V = 0 (:func:`semigroup.vanishes`),
+    phi is 0 on the zero modes, the pseudo-inverse that the subordinated
+    walk gives too.
     """
     if power not in POWERS:
         raise ValueError(f"power must be one of {POWERS}, got {power}")
-    op = semigroup.dense_schrodinger(grid, V)
-    singular = float(V.values.max()) == 0.0
+    op = semigroup.dense_schrodinger(V)
+    singular = semigroup.vanishes(V)
 
     def phi(lam: np.ndarray) -> np.ndarray:
         vals = np.zeros_like(lam)
@@ -349,23 +335,22 @@ def dense_power(grid: GridSpec, V: Field, power: float, stack: np.ndarray) -> np
     return semigroup.apply_function(op, phi, stack)
 
 
-def perturbation_kernel(grid: GridSpec, V: Field) -> PerturbationKernel:
+def perturbation_kernel(V: Field) -> PerturbationKernel:
     """Extremes of W from the operator identity A = I + c2 W.
 
     A = sqrt(-Delta) L^(-1/2) carries the integral-kernel 1/h^d scaling.
     Both factors are symmetric, so row j of A is L^(-1/2) applied to
     column j of the sqrt(-Delta) circulant; W is read COLUMN_BLOCK rows at
     a time, keeping its min entry, max |entry| and column sums, and is
-    never held whole.  V identically zero gives W = 0.
+    never held whole.
     """
-    if float(V.values.max()) == 0.0:
-        return PerturbationKernel(0.0, 0.0, 0.0)
+    grid = V.spec
     col = semigroup._circulant_column(grid, spectral.sqrt_laplacian())
     N, axis = grid.num_points, np.arange(grid.n)
     lo, hi, mass = math.inf, 0.0, np.zeros(N)
     for start in range(0, N, semigroup.COLUMN_BLOCK):
         rows = np.arange(start, min(start + semigroup.COLUMN_BLOCK, N))
-        block = dense_power(grid, V, -0.5, col[semigroup._offset_index(grid, rows, axis)])
+        block = dense_power(col[semigroup._offset_index(grid, rows, axis)], V, -0.5)
         block = block.reshape(len(rows), N)
         block[np.arange(len(rows)), rows] -= 1.0
         block /= C2 * grid.cell_volume

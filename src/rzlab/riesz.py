@@ -8,10 +8,10 @@ Two algebraically equivalent routes are kept side by side:
   multiplier per component.
 
 :func:`riesz_from_inv_sqrt` takes L^(-1/2) f from either the dense power
-:func:`fracpow.dense_power` (for V = 0 the pseudo-inverse on mean-zero
-fields) or the subordinated route, so route disagreement isolates
+:func:`fracpow.dense_power` or the subordinated route (for V = 0 both the
+pseudo-inverse, 0 on the constants), so route disagreement isolates
 multiplier algebra.  :func:`schrodinger_riesz` is its one-field entry point
-on the dense power, which checks V against the field's grid.
+on the dense power, and checks V against the field's grid.
 :func:`classical_riesz` is the V = 0 transform by multipliers alone, with
 no dense cap.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fracpow, spectral
+from . import fracpow, semigroup, spectral
 from .grid import Field, GridSpec
 
 
@@ -71,11 +71,11 @@ def schrodinger_riesz(f: Field, V: Field, *, route: str = "factored") -> RieszRe
     """All d Riesz components of one field (a batch of one) with their l2 magnitude."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    return riesz_from_inv_sqrt(fracpow.dense_power(f.spec, V, -0.5, f.values[None]), f.spec,
+    semigroup._check_potential(V, f.spec)
+    return riesz_from_inv_sqrt(fracpow.dense_power(f.values[None], V, -0.5), f.spec,
                                route=route)
 
 
-def sqrt_potential_inv_sqrt(f: Field, V: Field) -> Field:
-    """Pointwise sqrt(V) times L^(-1/2) f."""
-    half = fracpow.dense_power(f.spec, V, -0.5, f.values[None])[0]
-    return Field(f.spec, np.sqrt(V.values) * half)
+def sqrt_potential_inv_sqrt(stack: np.ndarray, V: Field) -> np.ndarray:
+    """Pointwise sqrt(V) times L^(-1/2) f for each field of a stack on V's grid."""
+    return np.sqrt(V.values) * fracpow.dense_power(stack, V, -0.5)

@@ -57,8 +57,9 @@ def default_steps(t: float, tau0: float = DEFAULT_STEP_SIZE) -> int:
     return max(1, math.ceil(t / tau0))
 
 
-def _check_potential(V: Field, grid: GridSpec) -> None:
-    if V.spec != grid:
+def _check_potential(V: Field, grid: GridSpec | None = None) -> None:
+    """V is nonnegative, and on ``grid`` when a one-field entry point names one."""
+    if grid is not None and V.spec != grid:
         raise ValueError("potential grid does not match field grid")
     if np.any(V.values < 0):
         raise ValueError("potential must be nonnegative")
@@ -76,10 +77,8 @@ def _heat_tables(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return xi2, fold
 
 
-def evolve_stack(
-    stack: np.ndarray, V: np.ndarray, spec: GridSpec, t: float | np.ndarray, steps: int
-) -> np.ndarray:
-    """Strang splitting on a (..., grid shape) stack of real fields.
+def evolve_stack(stack: np.ndarray, V: Field, t: float | np.ndarray, steps: int) -> np.ndarray:
+    """Strang splitting on a (..., grid shape) stack of real fields on V's grid.
 
     ``t`` is one time, or a 1-D array of m times: then the result has shape
     (m, *stack.shape), the stack evolved to each time in ``steps`` equal
@@ -93,14 +92,14 @@ def evolve_stack(
     folded to at most n/2, so H is symmetric and a heat step is d matrix
     products against it, batched over the times.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts, spec = np.atleast_1d(np.asarray(t, dtype=float)), V.spec
     m, n, d = len(ts), spec.n, spec.d
     tau = ts / steps
     xi2, fold = _heat_tables(spec)
     heat = np.fft.irfft(np.exp(np.multiply.outer(-tau, xi2)), n, axis=-1).take(fold, axis=1)
     lead = (1,) * (stack.ndim - d)
-    half = np.exp(np.multiply.outer(-0.5 * tau, V)).reshape(m, *lead, *spec.shape)
-    full = np.exp(np.multiply.outer(-tau, V)).reshape(half.shape) if steps > 1 else None
+    half = np.exp(np.multiply.outer(-0.5 * tau, V.values)).reshape(m, *lead, *spec.shape)
+    full = np.exp(np.multiply.outer(-tau, V.values)).reshape(half.shape) if steps > 1 else None
     u = half * stack
     for i in range(steps):
         for a in range(1, d):  # grid axis a - 1, with n^(d - a) samples after it
@@ -118,8 +117,7 @@ def strang_evolve(f: Field, V: Field, t: float, steps: int) -> Field:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     _check_potential(V, f.spec)
-    out = evolve_stack(f.values, V.values, f.spec, t, steps)
-    return Field(f.spec, out)
+    return Field(f.spec, evolve_stack(f.values, V, t, steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +335,7 @@ class SingleFlightCache:
 _DENSE_CACHE = SingleFlightCache(limit=4)
 
 
-def dense_schrodinger(grid: GridSpec, V: Field) -> DenseOperator:
+def dense_schrodinger(V: Field) -> DenseOperator:
     """Exact discrete L = -Delta + diag(V) with its eigendecomposition.
 
     When the samples of V are additively separable (zero, const, harmonic),
@@ -351,13 +349,15 @@ def dense_schrodinger(grid: GridSpec, V: Field) -> DenseOperator:
     coordinates.  Decompositions are cached on (grid,
     potential samples), and concurrent callers of one key share a single
     factorization: the d = 3 oracle at the cap takes seconds to factor.
+    Past the cap it raises :class:`DenseCapError`.
     """
-    _check_potential(V, grid)
-    _check_dense_cap(grid)
-    return _DENSE_CACHE.get((grid, V.values.tobytes()), lambda: _factor(grid, V))
+    _check_potential(V)
+    _check_dense_cap(V.spec)
+    return _DENSE_CACHE.get((V.spec, V.values.tobytes()), lambda: _factor(V))
 
 
-def _factor(grid: GridSpec, V: Field) -> DenseOperator:
+def _factor(V: Field) -> DenseOperator:
+    grid = V.spec
     parts = _separable_parts(V) if grid.d > 1 else None
     if parts is not None:
         line = GridSpec(1, grid.n, grid.R)
@@ -383,6 +383,15 @@ def zero_modes(lam: np.ndarray) -> np.ndarray:
     consumer of the spectrum uses this one predicate.
     """
     return np.abs(lam) <= 1e-9 * max(1.0, float(np.max(np.abs(lam))))
+
+
+def vanishes(V: Field) -> bool:
+    """Whether V is identically 0, so that L = -Delta and its kernel is the constants.
+
+    Every route to a power of L decides V = 0 by this one predicate and
+    gives the pseudo-inverse there: 0 on the constants.
+    """
+    return not np.any(V.values)
 
 
 def _contract(x: np.ndarray, bases: tuple[np.ndarray, ...], to_basis: bool) -> np.ndarray:

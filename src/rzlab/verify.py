@@ -305,7 +305,7 @@ def check_domination(cfg: RunConfig) -> CheckReport:
         V = potentials.discretize_potential(pot, grid)
         for t in (0.1, 0.5, 1.0):
             steps = semigroup.default_steps(t, cfg.strang_tau)
-            kt = semigroup.evolve_stack(stack, V.values, grid, t, steps)
+            kt = semigroup.evolve_stack(stack, V, t, steps)
             ht = spectral.apply_symbol_stack(stack, spectral.heat(t).symbol(grid), grid.d)
             excess = float(np.max(kt - ht))
             per[f"{pot.label()}_t{t:g}"] = excess
@@ -324,9 +324,9 @@ def check_composition(cfg: RunConfig) -> CheckReport:
     sums = np.zeros(2)  # squared Frobenius norms of the residual and of L^(-1)
     for start in range(0, N, block):
         x = np.eye(min(block, N - start), N, start)  # unit fields start, start + 1, ...
-        full = fracpow.dense_power(grid, V, -1.0, x)
+        full = fracpow.dense_power(x, V, -1.0)
         for _ in range(2):  # one block held at a time besides full
-            x = fracpow.dense_power(grid, V, -0.5, x)
+            x = fracpow.dense_power(x, V, -0.5)
         x -= full
         sums += np.vdot(x, x), np.vdot(full, full)
     err = float(np.sqrt(sums[0] / sums[1]))
@@ -342,13 +342,13 @@ def check_green_mass(cfg: RunConfig) -> CheckReport:
     grid = cfg.grid()
     const, samples = potentials.const(2.0), 50
     V = potentials.discretize_potential(const, grid)
-    mass_const = fracpow.green_mass_all(grid, V)
+    mass_const = fracpow.green_mass_all(V)
     const_dev = float(np.max(np.abs(mass_const - 1.0)))
     worst = -math.inf
     for _ in range(samples):
         vals = rng.uniform(0.0, 5.0, grid.shape)
         Vr = Field(grid, vals)
-        masses = fracpow.green_mass_all(grid, Vr)
+        masses = fracpow.green_mass_all(Vr)
         ys = rng.integers(0, grid.num_points, size=5)
         worst = max(worst, float(np.max(masses[ys])))
     ok = const_dev <= 1e-10 and worst <= 1.0 + 1e-8
@@ -370,7 +370,7 @@ def check_l2_contract(cfg: RunConfig) -> CheckReport:
     catalog = potentials.standard_catalog(grid.d)
     for pot in catalog:
         V = potentials.discretize_potential(pot, grid)
-        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(grid, V, -0.5, stack), grid)
+        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(stack, V, -0.5), grid)
         ratios = l2_norms(out, grid) / norms
         per[pot.label()] = float(ratios.max())
         worst = max(worst, per[pot.label()])
@@ -391,7 +391,7 @@ def check_l1_bound(cfg: RunConfig) -> CheckReport:
         fields = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
         stack = _stack(fields)
         V = potentials.discretize_potential(pot, grid)
-        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(grid, V, -0.5, stack), grid)
+        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(stack, V, -0.5), grid)
         num = np.abs(out.reshape(len(out), -1)).sum(axis=1)
         den = np.abs(stack.reshape(len(stack), -1)).sum(axis=1)
         per[pot.label()] = float((num / den).max())
@@ -416,7 +416,7 @@ def check_w_kernel(cfg: RunConfig) -> CheckReport:
     catalog = potentials.standard_catalog(grid.d, include_zero=False)
     for pot in catalog:
         V = potentials.discretize_potential(pot, grid)
-        W = fracpow.perturbation_kernel(grid, V)
+        W = fracpow.perturbation_kernel(V)
         neg = W.min_entry / W.max_abs_entry
         per[f"{pot.label()}_min_rel"] = float(neg)
         per[f"{pot.label()}_colmass"] = W.max_column_mass
@@ -442,7 +442,7 @@ def check_interp(cfg: RunConfig) -> CheckReport:
         fields = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
         stack = _stack(fields)
         V = potentials.discretize_potential(pot, grid)
-        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(grid, V, -0.5, stack), grid)
+        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(stack, V, -0.5), grid)
         for p in ps:
             num = (np.abs(out.reshape(len(out), -1)) ** p).sum(axis=1) ** (1 / p)
             den = (np.abs(stack.reshape(len(stack), -1)) ** p).sum(axis=1) ** (1 / p)
@@ -490,7 +490,7 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
         V = potentials.discretize_potential(pot, grid)
         stack = _stack(trial_family(grid, rng, cfg.theorem_trials, mean_zero=True))
         trials_by_d[d] = len(stack)
-        halves = fracpow.dense_power(grid, V, -0.5, stack)
+        halves = fracpow.dense_power(stack, V, -0.5)
         for start in range(0, len(stack), THEOREM_BLOCK):
             block, half = (x[start:start + THEOREM_BLOCK] for x in (stack, halves))
             res = riesz.riesz_from_inv_sqrt(half, grid, route="factored")
@@ -604,7 +604,7 @@ def check_vhalf(cfg: RunConfig) -> CheckReport:
         grid = cfg.grid(d=d)
         V = potentials.discretize_potential(pot, grid)
         stack = _stack(trial_family(grid, rng, 24, mean_zero=True))
-        outs = np.sqrt(V.values) * fracpow.dense_power(grid, V, -0.5, stack)
+        outs = riesz.sqrt_potential_inv_sqrt(stack, V)
         for p in ps:
             per[f"d{d}_p{p:g}"] = float(lp_ratios(outs, stack, grid, p).max())
             if p == 2.0:
@@ -683,7 +683,7 @@ def gaussian_envelope_spotcheck(
     """
     grid = GridSpec(3, n, R)
     V = potentials.discretize_potential(potentials.ce2(4.0), grid)
-    op = semigroup.dense_schrodinger(grid, V)
+    op = semigroup.dense_schrodinger(V)
 
     def h_free(tt: float, dist2: np.ndarray) -> np.ndarray:
         return (4.0 * math.pi * tt) ** (-grid.d / 2.0) * np.exp(-dist2 / (4.0 * tt))
@@ -759,7 +759,7 @@ def check_fk_oracle(cfg: RunConfig) -> CheckReport:
     worst_sigma = -math.inf
     for pot, row in zip(pots, table.tolist()):
         V = potentials.discretize_potential(pot, grid)
-        op = semigroup.dense_schrodinger(grid, V)
+        op = semigroup.dense_schrodinger(V)
         for (x, y, t), (est, err) in zip(FK_TRIPLES, row):
             ix = grid.flat_index(grid.nearest_index([x]))
             iy = grid.flat_index(grid.nearest_index([y]))
@@ -798,7 +798,7 @@ def check_quad_vs_dense(cfg: RunConfig) -> CheckReport:
                 stack, V, fracpow.POWERS, tol=cfg.quad_tol, tau0=cfg.tau0
             )
             for power, got, est in zip(fracpow.POWERS, gots, ests):
-                ref = fracpow.dense_power(grid, V, power, stack)
+                ref = fracpow.dense_power(stack, V, power)
                 key = f"d{d}_{pot.label()}_pow{power:g}"
                 den = l2_norms(ref, grid)
                 per[key] = float(np.max(l2_norms(got - ref, grid) / den))

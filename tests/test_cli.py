@@ -288,6 +288,16 @@ def test_unreachable_quad_tol_exits_2_with_one_line(tmp_path, capsys, check):
     assert not out.exists()
 
 
+def test_grid_past_the_dense_cap_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "rep"
+    rc = run_cli("check", "COMPOSITION", "--d", "3", "--n", "24", "--out", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rzlab: error: ") and err.count("\n") == 1
+    assert "13824 points exceed dense cap" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_with_config_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"d": 1, "n": 16, "trials": 8, "seed": 5}))

@@ -55,7 +55,7 @@ def test_strang_rejects_bad_input(g1):
 def test_strang_step_halving_second_order(g1):
     V = potentials.discretize_potential(potentials.harmonic(), g1)
     f = random_field(g1, 2)
-    op = semigroup.dense_schrodinger(g1, V)
+    op = semigroup.dense_schrodinger(V)
     t = 0.5
     ref = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam)) @ f.flat()
     errs = []
@@ -86,10 +86,10 @@ def _unfused_strang(stack, V, spec, t, steps):
 def test_fused_evolve_stack_matches_unfused_reference(d, n, steps, batch):
     g = GridSpec(d, n, 4.0)
     V = potentials.discretize_potential(potentials.ce3(), g).values
-    V = V + potentials.discretize_potential(potentials.harmonic(), g).values
+    V = Field(g, V + potentials.discretize_potential(potentials.harmonic(), g).values)
     stack = np.random.default_rng(d * 100 + steps).standard_normal((batch, *g.shape))
-    got = semigroup.evolve_stack(stack, V, g, 0.35, steps)
-    ref = _unfused_strang(stack, V, g, 0.35, steps)
+    got = semigroup.evolve_stack(stack, V, 0.35, steps)
+    ref = _unfused_strang(stack, V.values, g, 0.35, steps)
     assert got.shape == stack.shape
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -100,11 +100,11 @@ def test_fused_evolve_stack_matches_unfused_reference(d, n, steps, batch):
 def test_time_array_equals_scalar_calls_exactly(d, n, steps, lead):
     g = GridSpec(d, n, 4.0)
     V = potentials.discretize_potential(potentials.ce3(), g).values
-    V = V + potentials.discretize_potential(potentials.harmonic(), g).values
+    V = Field(g, V + potentials.discretize_potential(potentials.harmonic(), g).values)
     stack = np.random.default_rng(d * 10 + steps).standard_normal((*lead, *g.shape))
     ts = np.array([0.0, 1e-6, 2.5e-3, 0.04, 0.35])
-    got = semigroup.evolve_stack(stack, V, g, ts, steps)
-    ref = np.stack([semigroup.evolve_stack(stack, V, g, t, steps) for t in ts])
+    got = semigroup.evolve_stack(stack, V, ts, steps)
+    ref = np.stack([semigroup.evolve_stack(stack, V, t, steps) for t in ts])
     assert got.shape == (len(ts), *stack.shape)
     assert np.array_equal(got, ref)
     assert np.array_equal(got[0], stack)
@@ -115,7 +115,7 @@ def test_time_array_equals_scalar_calls_exactly(d, n, steps, lead):
 def test_heat_step_matches_fft_heat_symbol(d, n, lead):
     g = GridSpec(d, n, 4.0)
     stack = np.random.default_rng(n + len(lead)).standard_normal((*lead, *g.shape))
-    got = semigroup.evolve_stack(stack, np.zeros(g.shape), g, 0.35, 3)
+    got = semigroup.evolve_stack(stack, Field(g, np.zeros(g.shape)), 0.35, 3)
     ref = spectral.apply_symbol_stack(stack, spectral.heat(0.35).symbol(g), d)
     assert got.shape == stack.shape
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -126,7 +126,7 @@ def test_heat_step_matches_fft_heat_symbol(d, n, lead):
 def test_heat_step_matrix_is_symmetric_and_keeps_the_mean(n, tau):
     g = GridSpec(1, n, 4.0)
     # row i is e_i after one heat step, so the rows form H_tau itself
-    heat = semigroup.evolve_stack(np.eye(n), np.zeros(g.shape), g, tau, 1)
+    heat = semigroup.evolve_stack(np.eye(n), Field(g, np.zeros(g.shape)), tau, 1)
     assert np.array_equal(heat, heat.T)
     np.testing.assert_allclose(heat.sum(axis=0), 1.0, rtol=0, atol=1e-14)
 
@@ -163,7 +163,7 @@ def test_strang_semigroup_property(g1):
 
 def test_dense_eigenvalues_zero_potential(g1):
     V = potentials.discretize_potential(potentials.zero(), g1)
-    op = semigroup.dense_schrodinger(g1, V)
+    op = semigroup.dense_schrodinger(V)
     k = np.fft.fftfreq(g1.n) * g1.n
     expect = np.sort((np.pi / g1.R * k) ** 2)
     np.testing.assert_allclose(np.sort(op.eigenvalues), expect, atol=1e-10)
@@ -171,7 +171,7 @@ def test_dense_eigenvalues_zero_potential(g1):
 
 def test_dense_eigenvalues_constant_shift(g1):
     V = potentials.discretize_potential(potentials.const(3.0), g1)
-    op = semigroup.dense_schrodinger(g1, V)
+    op = semigroup.dense_schrodinger(V)
     k = np.fft.fftfreq(g1.n) * g1.n
     expect = np.sort((np.pi / g1.R * k) ** 2 + 3.0)
     np.testing.assert_allclose(np.sort(op.eigenvalues), expect, atol=1e-10)
@@ -180,7 +180,7 @@ def test_dense_eigenvalues_constant_shift(g1):
 def test_dense_positive_semidefinite(g1):
     rng = np.random.default_rng(6)
     V = Field(g1, rng.uniform(0, 3, g1.shape))
-    op = semigroup.dense_schrodinger(g1, V)
+    op = semigroup.dense_schrodinger(V)
     assert op.eigenvalues.min() >= -1e-8
     recon = semigroup.matrix_function(op, lambda lam: lam)
     mat = semigroup.schrodinger_matrix(g1, V.values)
@@ -205,7 +205,7 @@ def test_dense_cap_enforced():
 
 def test_matrix_function_identity(g1):
     V = potentials.discretize_potential(potentials.harmonic(), g1)
-    op = semigroup.dense_schrodinger(g1, V)
+    op = semigroup.dense_schrodinger(V)
     recon = semigroup.matrix_function(op, lambda lam: lam)
     mat = semigroup.schrodinger_matrix(g1, V.values)
     assert np.max(np.abs(recon - mat)) <= 1e-8 * np.max(np.abs(mat))
@@ -225,7 +225,7 @@ def _off_kernel(phi):
 
 def test_matrix_function_inv_sqrt_matches_multiplier(g1):
     V = potentials.discretize_potential(potentials.zero(), g1)
-    op = semigroup.dense_schrodinger(g1, V)
+    op = semigroup.dense_schrodinger(V)
     got = semigroup.matrix_function(op, _off_kernel(lambda lam: lam**-0.5))
     want = semigroup.multiplier_matrix(g1, spectral.inv_sqrt_laplacian())
     assert np.max(np.abs(got - want)) <= 1e-8
@@ -233,7 +233,7 @@ def test_matrix_function_inv_sqrt_matches_multiplier(g1):
 
 def test_matrix_function_rejects_nonfinite(g1):
     V = potentials.discretize_potential(potentials.zero(), g1)
-    op = semigroup.dense_schrodinger(g1, V)
+    op = semigroup.dense_schrodinger(V)
     with pytest.raises(ValueError, match="not finite"):
         semigroup.matrix_function(op, lambda lam: np.where(lam > 1.0, np.inf, lam))
 
@@ -243,7 +243,7 @@ def test_apply_function_evaluates_phi_on_the_zero_mode(g1):
     # computed value is a rounding residue of either sign, so it is set to
     # exactly 0 here, where lam^(-1/2) is inf.
     V = potentials.discretize_potential(potentials.zero(), g1)
-    op = semigroup.dense_schrodinger(g1, V)
+    op = semigroup.dense_schrodinger(V)
     (lam, u, idx), = op.blocks
     exact = dataclasses.replace(op, blocks=((np.where(semigroup.zero_modes(lam), 0.0, lam), u, idx),))
     x = random_field(g1).values[None]
@@ -265,7 +265,7 @@ def _assembled_function(g, V, phi):
 def test_separable_factors_match_assembled_eigh(d, n, pot):
     g = GridSpec(d, n, 4.0)
     V = potentials.discretize_potential(pot, g)
-    op = semigroup.dense_schrodinger(g, V)
+    op = semigroup.dense_schrodinger(V)
     # per-axis eigenvectors, and the Kronecker-sum eigenvalues as one diagonal block
     assert [q.shape for q in op.bases] == [(n, n)] * d
     assert [(len(lam), u, idx) for lam, u, idx in op.blocks] == [(g.num_points, None, slice(None))]
@@ -291,7 +291,7 @@ def test_non_separable_potentials_take_one_factor(pot):
         V = Field(g, np.random.default_rng(12).uniform(0.0, 3.0, g.shape))
     else:
         V = potentials.discretize_potential(pot, g)
-    op = semigroup.dense_schrodinger(g, V)
+    op = semigroup.dense_schrodinger(V)
     if pot is None:  # no reflection symmetry: one block of order N on the grid
         assert op.bases == () and [len(lam) for lam, _, _ in op.blocks] == [g.num_points]
     else:  # even in each coordinate: parity sectors
@@ -310,7 +310,7 @@ def test_parity_sectors_match_assembled_eigh(d, n, R, pot):
     # (3, 12, 2.5) is CE2's grid, with the non-dyadic spacing h = 5/12.
     g = GridSpec(d, n, R)
     V = potentials.discretize_potential(pot, g)
-    op = semigroup.dense_schrodinger(g, V)
+    op = semigroup.dense_schrodinger(V)
     assert [q.shape for q in op.bases] == [(n, n)] * d and len(op.blocks) == 2**d
     idx = np.concatenate([idx for _, _, idx in op.blocks])
     np.testing.assert_array_equal(np.sort(idx), np.arange(g.num_points))
@@ -350,7 +350,7 @@ def test_reflection_asymmetric_potential_takes_one_factor(case):
     else:  # ce3 moved by one cell is even about x = h, not about 0
         V = potentials.discretize_potential(potentials.ce3(), g)
         V = Field(g, np.roll(V.values, 1, axis=0))
-    op = semigroup.dense_schrodinger(g, V)
+    op = semigroup.dense_schrodinger(V)
     assert op.bases == () and [len(lam) for lam, _, _ in op.blocks] == [g.num_points]
 
 
@@ -367,7 +367,7 @@ def test_matrix_function_columns_match_assembled_eigh(pot, layout, rule):
         V = Field(g, np.random.default_rng(12).uniform(0.0, 3.0, g.shape))
     else:
         V = potentials.discretize_potential(pot, g)
-    op = semigroup.dense_schrodinger(g, V)
+    op = semigroup.dense_schrodinger(V)
     assert (len(op.bases), len(op.blocks)) == layout
     phi = lambda lam: np.exp(-0.3 * lam) * (1.0 + lam)
     if rule == "zero":
@@ -388,7 +388,7 @@ def test_apply_function_equals_matrix_function(pot):
         V = Field(g, np.random.default_rng(12).uniform(0.0, 3.0, g.shape))
     else:
         V = potentials.discretize_potential(pot, g)
-    op = semigroup.dense_schrodinger(g, V)
+    op = semigroup.dense_schrodinger(V)
     x = np.random.default_rng(4).standard_normal((5, *g.shape))
     phi = lambda lam: lam**-0.5
     got = semigroup.apply_function(op, phi, x)
@@ -415,7 +415,7 @@ def test_dense_cache_miss_is_single_flight(monkeypatch):
 
     def worker():
         barrier.wait(timeout=5)
-        ops.append(semigroup.dense_schrodinger(g, V))
+        ops.append(semigroup.dense_schrodinger(V))
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -516,7 +516,7 @@ def test_pending_build_is_not_evicted():
 
 def test_dense_semigroup_is_splitting_limit(g1):
     V = potentials.discretize_potential(potentials.harmonic(), g1)
-    op = semigroup.dense_schrodinger(g1, V)
+    op = semigroup.dense_schrodinger(V)
     f = random_field(g1, 7)
     t = 0.3
     ref = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam)) @ f.flat()
@@ -552,7 +552,7 @@ def test_fk_constant_potential_exact():
 def test_fk_harmonic_matches_dense_kernel():
     g = GridSpec(1, 64, 4.0)
     V = potentials.discretize_potential(potentials.harmonic(), g)
-    op = semigroup.dense_schrodinger(g, V)
+    op = semigroup.dense_schrodinger(V)
     t = 0.25
     mat = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam))
     i0 = g.flat_index(g.nearest_index([0.0]))

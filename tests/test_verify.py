@@ -139,7 +139,7 @@ def _pairwise_envelope_reference(t, n, R, region_fraction=0.6):
     """The spot check with explicit separations of every point pair."""
     grid = GridSpec(3, n, R)
     V = potentials.discretize_potential(potentials.ce2(4.0), grid)
-    op = semigroup.dense_schrodinger(grid, V)
+    op = semigroup.dense_schrodinger(V)
     kt = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam)) / grid.cell_volume
 
     def h_free(tt, dist2):
@@ -201,7 +201,7 @@ def test_composition_reads_its_matrices_in_column_blocks():
     # semigroup.COLUMN_BLOCK unit fields take about 12 MiB.
     cfg = verify.RunConfig(d=2, n=32)
     grid = cfg.grid()
-    semigroup.dense_schrodinger(grid, potentials.discretize_potential(potentials.harmonic(), grid))
+    semigroup.dense_schrodinger(potentials.discretize_potential(potentials.harmonic(), grid))
     tracemalloc.start()
     try:
         rep = verify.run_check("COMPOSITION", cfg)
