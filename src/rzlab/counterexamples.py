@@ -31,7 +31,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import potentials
-from .fracpow import log_panels
 from .grid import Field, GridSpec, nested_lp_norms
 
 # Construction constants and gates of the scans.
@@ -377,9 +376,11 @@ def ce2_scan(p: float, deltas=None) -> ScanReport:
 def _log_panel_quad(fn, a: float, b: float) -> float:
     """Gauss-Legendre panels on a log-spaced subdivision of [a, b]."""
     decades = math.log10(b / a)
-    panels = max(2, math.ceil(decades * _PANELS_PER_DECADE))
-    x, w = log_panels(a, b, panels, *_PANEL_RULE)
-    return float(np.sum(w * fn(x)))
+    edges = np.geomspace(a, b, max(2, math.ceil(decades * _PANELS_PER_DECADE)) + 1)
+    mid, rad = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    nodes, weights = _PANEL_RULE
+    x = (mid[:, None] + rad[:, None] * nodes).ravel()
+    return float(np.sum((rad[:, None] * weights).ravel() * fn(x)))
 
 
 def ce3_tail(rho: float) -> float:

@@ -6,19 +6,19 @@ The powers -1/2, -1, +1/2 are weighted time-integrals of the semigroup:
     L^(-1)   f =      int_0^inf  e^{-tL} f  dt
     L^(+1/2) f = c2 * int_0^inf (e^{-tL} f - f)  dt / t^(3/2)
 
-with c1 = pi^(-1/2) and c2 = -(2 sqrt(pi))^(-1).  The substitution t = u^2
-removes the endpoint singularities, and composite Gauss-Legendre panels on
-a geometric u-grid give a rule whose scalar identity
+with c1 = pi^(-1/2) and c2 = -(2 sqrt(pi))^(-1).  The trapezoid rule in
+s = ln t, about four nodes per decade of t, gives a rule whose scalar
+identity
 
     sum_i w_i phi_power(t_i, lam) ~ lam^power
 
 is verified at build time across the operator's spectral range.
 
 The semigroup applications are Strang runs (:func:`semigroup.evolve_stack`).
-Most of a rule's nodes lie far below the subordination step; every node
-t <= tau0 / 16 is reached from t = 0 directly, and these nodes are evolved
-together, a block of times per call.  The nodes above advance one from
-the next under a step controller.  The node sums are array products, one
+Every node t <= tau0 / 16 is reached from t = 0 directly, and these nodes
+are evolved together, a block of times per call.  The nodes above advance
+one from the next under a step controller, each increment stepping at
+most a tenth of its node time.  The node sums are array products, one
 contraction per block of direct nodes and power, one broadcast update per
 later node; the +1/2 terms keep e^{-t_i L} f - f per node, so the large
 coefficients of the small nodes multiply a difference, not two states.
@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import semigroup, spectral
 from .grid import Field, l2_norms
@@ -49,7 +48,7 @@ POWERS = (-0.5, -1.0, 0.5)
 
 
 class QuadratureBuildError(RuntimeError):
-    """Requested tolerance unreachable within the panel budget."""
+    """Requested tolerance unreachable within the node budget."""
 
 
 def phi_weight(power: float, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -67,14 +66,12 @@ def phi_weight(power: float, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TimeQuadrature:
-    """Node/weight rule for subordination powers on [u_min, u_max]."""
+    """Trapezoid rule in s = ln t for subordination powers: t_k = e^{kh}, w_k = h t_k."""
 
     powers: tuple[float, ...]
-    u_min: float
-    u_max: float
-    panels: int  # of QUAD_ORDER Gauss-Legendre nodes each
+    step: float  # h, the spacing of the nodes in ln t
     nodes: np.ndarray    # t_i, strictly increasing
-    weights: np.ndarray  # w_i > 0, include the dt = 2u du substitution
+    weights: np.ndarray  # w_i > 0, include the dt = t ds substitution
     spectral_range: tuple[float, float]
 
     def scalar_apply(self, power: float, lam) -> np.ndarray:
@@ -83,9 +80,9 @@ class TimeQuadrature:
             raise ValueError(f"rule built for powers {self.powers}, not {power}")
         return phi_weight(power, self.nodes, np.atleast_1d(lam)) @ self.weights
 
-    def max_identity_error(self) -> float:
-        """Max relative error of each power's identity at 20 log-spaced lambdas."""
-        lams = np.geomspace(self.spectral_range[0], self.spectral_range[1], 20)
+    def max_identity_error(self, samples: int = 20) -> float:
+        """Max relative error of each power's identity at log-spaced lambdas."""
+        lams = np.geomspace(self.spectral_range[0], self.spectral_range[1], samples)
         return max(
             float(np.max(np.abs(self.scalar_apply(p, lams) - lams**p) / np.abs(lams**p)))
             for p in self.powers
@@ -106,20 +103,12 @@ def _range_for(power: float, lam_min: float, lam_max: float, tol: float) -> tupl
     return 0.5 * u_lo, 1.2 * u_hi
 
 
-# Gauss-Legendre nodes per panel, the panels per decade of u a build starts
-# from (each retry multiplies them by 1.6), and the most panels a rule takes.
-QUAD_ORDER = 12
-QUAD_PANELS_PER_DECADE = 4.0
-QUAD_MAX_PANELS = 2000
-_QUAD_RULE = leggauss(QUAD_ORDER)
-
-
-def log_panels(a: float, b: float, panels: int, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
-    """A rule on [-1, 1] moved onto each of `panels` geometric panels of [a, b]."""
-    edges = np.geomspace(a, b, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    rad = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + rad[:, None] * nodes).ravel(), (rad[:, None] * weights).ravel()
+# Nodes per decade of t a build starts from (each retry multiplies them by
+# 1.6), the most nodes a rule takes, and the lambdas its identity is checked
+# at, fine enough to see the trapezoid's ripple in ln lambda.
+QUAD_NODES_PER_DECADE = 4.0
+QUAD_MAX_NODES = 4000
+QUAD_CHECK_LAMBDAS = 200
 
 
 def build_quadrature(
@@ -129,8 +118,14 @@ def build_quadrature(
 ) -> TimeQuadrature:
     """Build and verify one rule for ``powers`` over [lam_min, lam_max].
 
-    The nodes and weights are built on the union of the powers' u-ranges
-    and refined until every power's identity passes.
+    The rule is the trapezoid rule in s = ln t, t_k = e^{kh} and
+    w_k = h t_k, over the union of the powers' truncated ranges.  After
+    t = e^s each integrand is a Laplace-type function analytic in a strip
+    about the real s-axis, so the error falls like exp(-pi^2 / h) (the sinc
+    rule of Bonito & Pasciak, Math. Comp. 84, 2015).  Each power's identity
+    is checked at QUAD_CHECK_LAMBDAS log-spaced lambdas; until all pass, h
+    shrinks and the range widens, and a rule that would take more than
+    QUAD_MAX_NODES nodes raises before any node is made.
     """
     lam_min, lam_max = spectral_range
     if not (0 < lam_min <= lam_max):
@@ -139,23 +134,20 @@ def build_quadrature(
         raise ValueError(f"powers must be a tuple drawn from {POWERS}, got {powers}")
 
     ranges = [_range_for(p, lam_min, lam_max, tol) for p in powers]
-    u_lo, u_hi = min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
-    ppd = QUAD_PANELS_PER_DECADE
+    s_lo = 2.0 * math.log(min(lo for lo, _ in ranges))
+    s_hi = 2.0 * math.log(max(hi for _, hi in ranges))
+    h = math.log(10.0) / QUAD_NODES_PER_DECADE
     for _ in range(6):
-        decades = math.log10(u_hi / u_lo)
-        panels = max(4, math.ceil(decades * ppd))
-        if panels > QUAD_MAX_PANELS:
+        k_lo, k_hi = math.floor(s_lo / h), math.ceil(s_hi / h)
+        if k_hi - k_lo + 1 > QUAD_MAX_NODES:
             raise QuadratureBuildError(
-                f"tolerance {tol} needs more than {QUAD_MAX_PANELS} panels"
+                f"tolerance {tol} needs more than {QUAD_MAX_NODES} nodes"
             )
-        u, du_w = log_panels(u_lo, u_hi, panels, *_QUAD_RULE)
-        quad = TimeQuadrature(powers, u_lo, u_hi, panels, u**2, 2.0 * u * du_w,
-                              (lam_min, lam_max))
-        if quad.max_identity_error() <= tol:
+        t = np.exp(h * np.arange(k_lo, k_hi + 1))
+        quad = TimeQuadrature(powers, h, t, h * t, (lam_min, lam_max))
+        if quad.max_identity_error(QUAD_CHECK_LAMBDAS) <= tol:
             return quad
-        ppd *= 1.6
-        u_lo *= 0.5
-        u_hi *= 1.3
+        h, s_lo, s_hi = h / 1.6, s_lo + 2.0 * math.log(0.5), s_hi + 2.0 * math.log(1.3)
     raise QuadratureBuildError(
         f"scalar identity for powers {powers} did not reach tol {tol}"
     )
@@ -182,6 +174,10 @@ DIRECT_NODE_FRACTION = 1.0 / 16.0
 # node's evolved stack and its n x n heat circulant; it keeps peak memory
 # flat.
 DIRECT_BLOCK_ELEMENTS = 2**16
+# An increment to node t_i steps at most STEP_NODE_FRACTION * t_i, as nodes
+# e^h apart leave the first increments one or two steps otherwise: QUAD_VS_DENSE's
+# d = 1 harmonic power -1/2 entry reads 2.5e-7 with the cap, 5.5e-6 without.
+STEP_NODE_FRACTION = 0.1
 
 
 def _node_coefficients(power: float, quad: TimeQuadrature) -> np.ndarray:
@@ -228,7 +224,8 @@ def subordinated_apply_stack(
     still to come), the increment steps at tau0 * max(1, r)^(1/4).  Once
     the summed part dominates what the remaining nodes can add, their
     splitting error matters proportionally less.  An increment from t = 0,
-    and any stack with a zero state, steps at tau0; the step sequence is
+    and any stack with a zero state, steps at tau0.  Every increment to t_i
+    steps at most STEP_NODE_FRACTION * t_i; the step sequence is
     deterministic in the data.
 
     Returns (result, estimate): estimate = (fine - coarse) / 3 is the
@@ -271,6 +268,7 @@ def subordinated_apply_stack(
                 acc_norms = l2_norms(acc_f, spec).reshape(len(powers), -1)
                 r = (acc_norms / (state_norms * remaining[:, i, None])).min()
                 tau = tau0 * max(1.0, r) ** 0.25
+        tau = min(tau, STEP_NODE_FRACTION * nodes[i])
         dt = nodes[i] - t_prev
         steps = max(1, math.ceil(dt / tau))
         state_c = semigroup.evolve_stack(state_c, V, dt, steps)

@@ -47,7 +47,7 @@ def test_quadrature_structure_and_range(power):
     q = fracpow.build_quadrature((power,), (0.05, 2000.0))
     assert np.all(np.diff(q.nodes) > 0)
     assert np.all(q.weights > 0)
-    assert q.u_min > 0
+    assert q.nodes[0] > 0 and q.step > 0
     assert q.max_identity_error() <= 1e-6
 
 
@@ -63,8 +63,8 @@ def test_quadrature_rejects_bad_range():
 
 
 def test_unreachable_tolerance_raises(monkeypatch):
-    monkeypatch.setattr(fracpow, "QUAD_MAX_PANELS", 10)
-    with pytest.raises(fracpow.QuadratureBuildError, match="more than 10 panels"):
+    monkeypatch.setattr(fracpow, "QUAD_MAX_NODES", 120)
+    with pytest.raises(fracpow.QuadratureBuildError, match="more than 120 nodes"):
         fracpow.build_quadrature((0.5,), (1e-9, 1e9), tol=1e-6)
 
 
@@ -171,6 +171,41 @@ def test_shared_rule_passes_every_power_identity():
     lams = np.geomspace(0.14, 2500.0, 20)
     errs = [np.max(np.abs(quad.scalar_apply(p, lams) - lams**p) / lams**p) for p in quad.powers]
     assert quad.max_identity_error() == max(errs) <= 1e-6
+
+
+@pytest.mark.parametrize("spectral_range", [(0.027, 79.0), (0.1427, 158.3), (0.05, 2000.0)])
+@pytest.mark.parametrize("powers", [(-0.5,), (-1.0,), (0.5,), fracpow.POWERS], ids=str)
+def test_identity_holds_between_the_check_points(powers, spectral_range):
+    # the trapezoid's error ripples in ln lambda; 2,000 lambdas see between
+    # the points the build checks
+    quad = fracpow.build_quadrature(powers, spectral_range, 1e-6)
+    lams = np.geomspace(*spectral_range, 2000)
+    for p in powers:
+        err = np.max(np.abs(quad.scalar_apply(p, lams) - lams**p) / lams**p)
+        assert err <= 1e-6, (p, err)
+
+
+def test_log_trapezoid_rule_walks_few_nodes(monkeypatch):
+    # The composite Gauss-Legendre rule had 660 nodes here, 121 of them
+    # walked, and the walk below made 254 evolve_stack calls.
+    quad = fracpow.build_quadrature(fracpow.POWERS, (0.1427, 158.3), 1e-6)
+    t, tau0 = quad.nodes, fracpow.DEFAULT_SUBORDINATION_STEP
+    assert len(t) <= 150
+    assert np.count_nonzero((t > tau0 * fracpow.DIRECT_NODE_FRACTION) & (t <= 37.0 / 0.1427)) <= 30
+    g = GridSpec(1, 32, 4.0)
+    V = potentials.discretize_potential(potentials.ce2(4.0), g)
+    rng = verify.rng_for(1234, "QUAD_VS_DENSE")
+    stack = np.stack([f.values for f in verify.trial_family(g, rng, 8, structured=False)])
+    calls = []
+    evolve = semigroup.evolve_stack
+
+    def counting(*args):
+        calls.append(1)
+        return evolve(*args)
+
+    monkeypatch.setattr(semigroup, "evolve_stack", counting)
+    fracpow.subordinated_apply_stack(stack, V, fracpow.POWERS)
+    assert len(calls) <= 60
 
 
 def test_walk_builds_its_rule_from_the_spectral_bounds_of_v(monkeypatch):

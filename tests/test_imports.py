@@ -1,8 +1,10 @@
 """rzlab imports only numpy and the standard library.
 
 scipy.special costs more at start-up than all of rzlab's own modules, and
-numpy already has what rzlab used it for: Gauss-Legendre rules
-(``leggauss``) and, through ``math``, the gamma function.
+numpy already has what rzlab used it for: the Gauss-Legendre rule of the
+radial tail integrals (``leggauss``) and, through ``math``, the gamma
+function.  The subordination rule is a trapezoid rule in ln t and needs
+neither.
 """
 
 import math
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import rzlab
-from rzlab import counterexamples, fracpow
+from rzlab import counterexamples
 
 SRC = Path(rzlab.__file__).resolve().parent.parent
 
@@ -48,7 +50,6 @@ def test_unit_ball_and_sphere_closed_forms(k, ball, sphere):
 
 # module -> names of its Gauss-Legendre order and of its (nodes, weights)
 GAUSS_RULES = {
-    fracpow: ("QUAD_ORDER", "_QUAD_RULE"),
     counterexamples: ("_PANEL_ORDER", "_PANEL_RULE"),
 }
 
