@@ -376,8 +376,10 @@ def ce2_scan(p: float, deltas=None) -> ScanReport:
 def _log_panel_quad(fn, a: float, b: float) -> float:
     """Gauss-Legendre panels on a log-spaced subdivision of [a, b]."""
     decades = math.log10(b / a)
-    edges = np.geomspace(a, b, max(2, math.ceil(decades * _PANELS_PER_DECADE)) + 1)
-    mid, rad = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    panels = max(2, math.ceil(decades * _PANELS_PER_DECADE))
+    edges = np.geomspace(a, b, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    rad = 0.5 * (edges[1:] - edges[:-1])
     nodes, weights = _PANEL_RULE
     x = (mid[:, None] + rad[:, None] * nodes).ravel()
     return float(np.sum((rad[:, None] * weights).ravel() * fn(x)))

@@ -80,9 +80,9 @@ class TimeQuadrature:
             raise ValueError(f"rule built for powers {self.powers}, not {power}")
         return phi_weight(power, self.nodes, np.atleast_1d(lam)) @ self.weights
 
-    def max_identity_error(self, samples: int = 20) -> float:
-        """Max relative error of each power's identity at log-spaced lambdas."""
-        lams = np.geomspace(self.spectral_range[0], self.spectral_range[1], samples)
+    def max_identity_error(self) -> float:
+        """Max relative error of each power's identity at QUAD_CHECK_LAMBDAS log-spaced lambdas."""
+        lams = np.geomspace(self.spectral_range[0], self.spectral_range[1], QUAD_CHECK_LAMBDAS)
         return max(
             float(np.max(np.abs(self.scalar_apply(p, lams) - lams**p) / np.abs(lams**p)))
             for p in self.powers
@@ -100,7 +100,7 @@ def _range_for(power: float, lam_min: float, lam_max: float, tol: float) -> tupl
     else:
         u_lo = tol / (2.0 * abs(C2) * math.sqrt(lam_max))
         u_hi = 2.0 * abs(C2) / (tol * math.sqrt(lam_min))
-    return 0.5 * u_lo, 1.2 * u_hi
+    return 2.0 * math.log(0.5 * u_lo), 2.0 * math.log(1.2 * u_hi)  # in s = ln t = 2 ln u
 
 
 # Nodes per decade of t a build starts from (each retry multiplies them by
@@ -134,10 +134,8 @@ def build_quadrature(
         raise ValueError(f"powers must be a tuple drawn from {POWERS}, got {powers}")
 
     ranges = [_range_for(p, lam_min, lam_max, tol) for p in powers]
-    s_lo = 2.0 * math.log(min(lo for lo, _ in ranges))
-    s_hi = 2.0 * math.log(max(hi for _, hi in ranges))
-    h = math.log(10.0) / QUAD_NODES_PER_DECADE
-    for _ in range(6):
+    s_lo, s_hi = min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
+    for h in [math.log(10.0) / QUAD_NODES_PER_DECADE / 1.6**j for j in range(6)]:
         k_lo, k_hi = math.floor(s_lo / h), math.ceil(s_hi / h)
         if k_hi - k_lo + 1 > QUAD_MAX_NODES:
             raise QuadratureBuildError(
@@ -145,9 +143,10 @@ def build_quadrature(
             )
         t = np.exp(h * np.arange(k_lo, k_hi + 1))
         quad = TimeQuadrature(powers, h, t, h * t, (lam_min, lam_max))
-        if quad.max_identity_error(QUAD_CHECK_LAMBDAS) <= tol:
+        if quad.max_identity_error() <= tol:
             return quad
-        h, s_lo, s_hi = h / 1.6, s_lo + 2.0 * math.log(0.5), s_hi + 2.0 * math.log(1.3)
+        s_lo += 2.0 * math.log(0.5)
+        s_hi += 2.0 * math.log(1.3)
     raise QuadratureBuildError(
         f"scalar identity for powers {powers} did not reach tol {tol}"
     )

@@ -168,7 +168,7 @@ def test_direct_node_rule_keeps_quad_vs_dense_accuracy():
 def test_shared_rule_passes_every_power_identity():
     quad = fracpow.build_quadrature(fracpow.POWERS, (0.14, 2500.0), tol=1e-6)
     assert quad.powers == fracpow.POWERS
-    lams = np.geomspace(0.14, 2500.0, 20)
+    lams = np.geomspace(0.14, 2500.0, fracpow.QUAD_CHECK_LAMBDAS)
     errs = [np.max(np.abs(quad.scalar_apply(p, lams) - lams**p) / lams**p) for p in quad.powers]
     assert quad.max_identity_error() == max(errs) <= 1e-6
 
