@@ -28,7 +28,8 @@ through :func:`semigroup.apply_function`.  Both routes take (stack, V,
 power), and for V = 0 (:func:`semigroup.vanishes`) both give the
 pseudo-inverse, 0 on the constants.  The summary of the perturbation kernel
 W of sqrt(-Delta) L^(-1/2) = I + c2 * W is formed from it a block of rows
-at a time.  The Green-mass functional is one linear solve.
+at a time, one row per reflection orbit when V is even along every axis.
+The Green-mass functional is one linear solve.
 """
 
 from __future__ import annotations
@@ -52,7 +53,11 @@ class QuadratureBuildError(RuntimeError):
 
 
 def phi_weight(power: float, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Scalar integrand phi_power(t, lam) whose t-integral is lam^power."""
+    """Scalar integrand phi_power(t, lam) whose t-integral is lam^power.
+
+    The +1/2 integrand takes e^{-lam t} - 1 from expm1, which does not
+    cancel at small lam t.
+    """
     t = np.asarray(t, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if power == -0.5:
@@ -60,7 +65,7 @@ def phi_weight(power: float, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     if power == -1.0:
         return np.exp(-np.multiply.outer(lam, t))
     if power == 0.5:
-        return C2 * (np.exp(-np.multiply.outer(lam, t)) - 1.0) * t**-1.5
+        return C2 * np.expm1(-np.multiply.outer(lam, t)) * t**-1.5
     raise ValueError(f"unsupported power {power}")
 
 
@@ -337,21 +342,30 @@ def perturbation_kernel(V: Field) -> PerturbationKernel:
 
     A = sqrt(-Delta) L^(-1/2) carries the integral-kernel 1/h^d scaling.
     Both factors are symmetric, so row j of A is L^(-1/2) applied to
-    column j of the sqrt(-Delta) circulant; W is read COLUMN_BLOCK rows at
-    a time, keeping its min entry, max |entry| and column sums, and is
-    never held whole.
+    column j of the sqrt(-Delta) circulant.  W is read at the rows of
+    :func:`semigroup.orbit_columns`, COLUMN_BLOCK at a time, and is never
+    held whole.  Both factors commute with the axis reflections that fix
+    an even V, so W(Ri, Rj) = W(i, j): the min entry and max |entry| of
+    the rows read are those of W, and the column masses are the
+    share-weighted sum of those rows, summed over the axis flips of the
+    grid.  Any other V has every row read, with share 1 and no flip.
     """
     grid = V.spec
     col = semigroup._circulant_column(grid, spectral.sqrt_laplacian())
+    reps, share, flip_axes = semigroup.orbit_columns(V)
     N, axis = grid.num_points, np.arange(grid.n)
     lo, hi, mass = math.inf, 0.0, np.zeros(N)
-    for start in range(0, N, semigroup.COLUMN_BLOCK):
-        rows = np.arange(start, min(start + semigroup.COLUMN_BLOCK, N))
+    for start in range(0, len(reps), semigroup.COLUMN_BLOCK):
+        sl = slice(start, start + semigroup.COLUMN_BLOCK)
+        rows = reps[sl]
         block = dense_power(col[semigroup._offset_index(grid, rows, axis)], V, -0.5)
         block = block.reshape(len(rows), N)
         block[np.arange(len(rows)), rows] -= 1.0
         block /= C2 * grid.cell_volume
         lo = min(lo, float(block.min()))
         hi = max(hi, float(np.abs(block).max()))
-        mass += block.sum(axis=0)
+        mass += share[sl] @ block
+    mass = mass.reshape(grid.shape)
+    for a in flip_axes:
+        mass = mass + np.take(mass, -axis % grid.n, axis=a)
     return PerturbationKernel(lo, hi, float(mass.max() * grid.cell_volume))

@@ -13,7 +13,9 @@ Three independent realizations:
   as 2^d parity sectors, any other whole.  :func:`apply_function` is the
   one map of phi(Lambda) back to the grid: kernels are read as phi(L)
   applied to blocks of unit fields (:func:`matrix_function`), and
-  circulant rows are gathered by per-axis offsets (:func:`_offset_index`);
+  circulant rows are gathered by per-axis offsets (:func:`_offset_index`).
+  A whole kernel is scanned at one column per orbit of the axis
+  reflections when V is even along every axis (:func:`orbit_columns`);
 * a Feynman-Kac Monte Carlo estimate of the kernel k_t(x, y) over
   Brownian bridges, free-space and non-periodized.
 """
@@ -39,8 +41,8 @@ DEFAULT_BRIDGE_SLICES = 64
 FK_CHUNK = 8192  # paths per Feynman-Kac chunk; it fixes which seed draws each path
 # Normals drawn at once within a chunk: bounds the memory held, moves no estimate.
 FK_BLOCK_ELEMENTS = 2**15
-# Unit fields per apply_function call when a whole N x N kernel is scanned
-# (W_KERNEL, CE2): the kernel is read COLUMN_BLOCK columns at a time.
+# Unit fields per apply_function call when a whole kernel is scanned
+# (W_KERNEL, CE2): its columns (orbit_columns) are read COLUMN_BLOCK at a time.
 COLUMN_BLOCK = 256
 
 
@@ -231,6 +233,28 @@ def _reflection_symmetric(V: Field) -> bool:
     """
     vals, flip = V.values, -np.arange(V.spec.n) % V.spec.n
     return all(np.array_equal(vals, np.take(vals, flip, axis=a)) for a in range(vals.ndim))
+
+
+def orbit_columns(V: Field) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Kernel columns a scan reads, each one's share of its orbit, and the axes it folds.
+
+    When V is even along every axis (:func:`_reflection_symmetric`), L
+    commutes with each axis reflection R, as does every circulant on the
+    grid, so a kernel K built from them has K(Ri, Rj) = K(i, j).  The
+    columns with every k_a <= n/2 are then one per orbit of the 2^d
+    reflections, and a column's share of its orbit is 1/|stabilizer|: a
+    column with k_a in {0, n/2} is its own mirror along a, which halves
+    its share.  A scan folds what it reads over the returned axes, that is
+    over the 2^d axis flips of the grid.  Any other V gives every column,
+    each with share 1, and no axis to fold.
+    """
+    grid = V.spec
+    if not _reflection_symmetric(V):
+        return np.arange(grid.num_points), np.ones(grid.num_points), ()
+    h = grid.n // 2
+    k = np.indices((h + 1,) * grid.d).reshape(grid.d, -1)
+    share = 0.5 ** np.count_nonzero((k == 0) | (k == h), axis=0)
+    return np.ravel_multi_index(tuple(k), grid.shape), share, tuple(range(grid.d))
 
 
 def _parity_basis(n: int) -> np.ndarray:
@@ -439,7 +463,8 @@ def matrix_function(
 
     Column j is :func:`apply_function` of the unit field at flat index j;
     ``cols`` may be one index or a sequence in any order.  A check that
-    scans a large kernel reads it in blocks of :data:`COLUMN_BLOCK`.
+    scans a whole kernel reads the columns of :func:`orbit_columns` in
+    blocks of :data:`COLUMN_BLOCK`.
     """
     N = op.grid.num_points
     idx = np.arange(N) if cols is None else np.atleast_1d(cols)

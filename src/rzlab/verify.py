@@ -680,6 +680,8 @@ def gaussian_envelope_spotcheck(
     ball indicator at spacing h perturbs the operator at O(h), so the
     pointwise excess carries a floor around 1e-4 of the local kernel at
     this resolution.  The reported excess is relative to the local value.
+    The kernel is read at one column per reflection orbit
+    (:func:`semigroup.orbit_columns`), 343 of 1,728 at n = 12.
     """
     grid = GridSpec(3, n, R)
     V = potentials.discretize_potential(potentials.ce2(4.0), grid)
@@ -691,22 +693,30 @@ def gaussian_envelope_spotcheck(
     # Separation, region and envelopes depend only on the per-axis offset
     # q = (i - j) mod n: form them once per q, at the separation h*q with q
     # folded into [-n/2, n/2), which rolling the axis by n/2 lists exactly.
-    # The region is a box, so its offsets are one set per axis.  The ratios
-    # are monotone in k, so each q's extreme k gives its extremes.  Row i of
-    # the symmetric k_t is its column i, read a block at a time.
+    # The region is a box, so its offsets are one set per axis, closed under
+    # q -> -q mod n.  The ratios are monotone in k, so each q's extreme k
+    # gives its extremes.  Row i of the symmetric k_t is its column i, read
+    # a block at a time at semigroup.orbit_columns.  V is even, so row Ri
+    # holds at offset q what row i holds at q with q_a -> -q_a on each axis
+    # a that R reflects: each offset's extremes fold over those sign flips.
     sep = np.roll(grid.axis(), grid.n // 2)
     offs = np.flatnonzero(np.abs(sep) <= region_fraction * grid.R)
+    neg = np.searchsorted(offs, -offs % grid.n)  # position of -q in offs
     delta = np.stack(np.meshgrid(*[sep[offs]] * grid.d, indexing="ij"), axis=-1)
     dist2 = (delta.reshape(-1, grid.d) ** 2).sum(axis=-1)
-    k_lo, k_hi = np.full(len(dist2), np.inf), np.full(len(dist2), -np.inf)
-    for start in range(0, grid.num_points, semigroup.COLUMN_BLOCK):
-        block = np.arange(start, min(start + semigroup.COLUMN_BLOCK, grid.num_points))
+    k_lo, k_hi = np.full(delta.shape[:-1], np.inf), np.full(delta.shape[:-1], -np.inf)
+    cols, _, flip_axes = semigroup.orbit_columns(V)
+    for start in range(0, len(cols), semigroup.COLUMN_BLOCK):
+        block = cols[start : start + semigroup.COLUMN_BLOCK]
         kt = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam), cols=block)
         at = (np.arange(len(block)).reshape(-1, *(1,) * grid.d),
               *semigroup._offset_index(grid, block, offs))
-        k = kt.T.reshape(len(block), *grid.shape)[at].reshape(len(block), -1)
+        k = kt.T.reshape(len(block), *grid.shape)[at]
         k_lo, k_hi = np.minimum(k_lo, k.min(axis=0)), np.maximum(k_hi, k.max(axis=0))
-    k_lo, k_hi = k_lo / grid.cell_volume, k_hi / grid.cell_volume
+    for a in flip_axes:
+        k_lo = np.minimum(k_lo, np.take(k_lo, neg, axis=a))
+        k_hi = np.maximum(k_hi, np.take(k_hi, neg, axis=a))
+    k_lo, k_hi = k_lo.ravel() / grid.cell_volume, k_hi.ravel() / grid.cell_volume
     ht = h_free(t, dist2)
     upper_local = float(np.max((k_hi - ht) / ht))
     mults = (1.0, 1.25, 1.5, 2.0, 3.0)

@@ -68,6 +68,17 @@ def test_unreachable_tolerance_raises(monkeypatch):
         fracpow.build_quadrature((0.5,), (1e-9, 1e9), tol=1e-6)
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+@pytest.mark.parametrize("powers", [(0.5,), fracpow.POWERS], ids=str)
+def test_half_power_identity_reaches_tight_tolerances(powers, tol):
+    # e^{-lam t} - 1 formed by subtraction cancelled at small lam t, and
+    # these builds raised QuadratureBuildError; expm1 gives 255 and 281
+    # nodes for (0.5,)
+    quad = fracpow.build_quadrature(powers, (0.1427, 158.3), tol)
+    assert len(quad.nodes) <= 300
+    assert quad.max_identity_error() <= tol
+
+
 def test_frac_power_zero_potential_matches_multiplier():
     g = GridSpec(1, 32, 4.0)
     f = mean_zero_field(g)
@@ -419,23 +430,41 @@ def test_perturbation_kernel_invariants_1d(pot):
 
 
 @pytest.mark.parametrize(
-    "d,n,pot,layout",
-    [(1, 32, potentials.harmonic(), (0, 1)), (2, 18, potentials.harmonic(), (2, 1)),
-     (2, 18, potentials.ce1(0.25), (2, 4)), (2, 18, None, (0, 1))],
-    ids=["1d-harmonic", "2d-harmonic", "2d-ce1", "2d-uniform"],
+    "d,n,pot,layout,rows",
+    [(1, 32, potentials.harmonic(), (0, 1), 17), (2, 18, potentials.harmonic(), (2, 1), 100),
+     (2, 18, potentials.ce1(0.25), (2, 4), 100), (2, 18, "uniform", (0, 1), 324),
+     (3, 8, potentials.ce3(), (3, 8), 125), (1, 24, potentials.ce2(4.0), (0, 1), 13),
+     (2, 18, "even_along_axis_0", (0, 1), 324)],
+    ids=["1d-harmonic", "2d-harmonic", "2d-ce1", "2d-uniform", "3d-ce3", "1d-ce2",
+         "2d-even-along-axis-0"],
 )
-def test_perturbation_kernel_matches_assembled_reference(d, n, pot, layout):
-    # n = 18 at d = 2: N = 324 leaves a partial last block of rows.
+def test_perturbation_kernel_matches_assembled_reference(monkeypatch, d, n, pot, layout, rows):
+    # n = 18 at d = 2: N = 324 leaves a partial last block of rows.  An even
+    # V is read at one row per reflection orbit, (n/2 + 1)^d rows; on the
+    # fixed planes of the d = 3 grid the rows carry shares 1/2, 1/4 and 1/8.
+    # A V even along axis 0 only is read at every row.
     g = GridSpec(d, n, 4.0)
-    if pot is None:
-        V = Field(g, np.random.default_rng(18).uniform(0.0, 3.0, g.shape))
+    u = np.random.default_rng(18).uniform(0.0, 3.0, g.shape)
+    if pot == "uniform":
+        V = Field(g, u)
+    elif pot == "even_along_axis_0":
+        V = Field(g, 0.5 * (u + np.take(u, -np.arange(n) % n, axis=0)))
     else:
         V = potentials.discretize_potential(pot, g)
     op = semigroup.dense_schrodinger(V)
     assert (len(op.bases), len(op.blocks)) == layout
     A = semigroup.multiplier_matrix(g, spectral.sqrt_laplacian()) @ dense_matrix(g, V, -0.5)
     ref = (A - np.eye(g.num_points)) / (fracpow.C2 * g.cell_volume)
+    read = []
+    power = fracpow.dense_power
+
+    def counting(stack, V, p):
+        read.append(len(stack))
+        return power(stack, V, p)
+
+    monkeypatch.setattr(fracpow, "dense_power", counting)
     W = fracpow.perturbation_kernel(V)
+    assert sum(read) == rows
     want = (ref.min(), np.abs(ref).max(), ref.sum(axis=0).max() * g.cell_volume)
     got = (W.min_entry, W.max_abs_entry, W.max_column_mass)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

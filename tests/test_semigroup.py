@@ -354,6 +354,42 @@ def test_reflection_asymmetric_potential_takes_one_factor(case):
     assert op.bases == () and [len(lam) for lam, _, _ in op.blocks] == [g.num_points]
 
 
+@pytest.mark.parametrize(
+    "d,n,pot",
+    [(1, 16, potentials.harmonic()), (2, 12, potentials.ce1(0.25)), (3, 8, potentials.ce3()),
+     (2, 10, potentials.zero())],
+    ids=["1d-harmonic", "2d-ce1", "3d-ce3", "2d-zero"],
+)
+def test_orbit_columns_read_each_reflection_orbit_once(d, n, pot):
+    g = GridSpec(d, n, 2.5)
+    cols, share, flip_axes = semigroup.orbit_columns(potentials.discretize_potential(pot, g))
+    assert flip_axes == tuple(range(d))
+    assert len(cols) == (n // 2 + 1) ** d and np.sum(share) * 2**d == g.num_points
+    # send every point to its orbit's representative, min(k_a, n - k_a) per axis:
+    # the representatives are the columns read, and a column's orbit has
+    # 2^d * share points
+    k = np.indices(g.shape).reshape(d, -1)
+    counts = np.bincount(np.ravel_multi_index(tuple(np.minimum(k, n - k)), g.shape))
+    assert np.array_equal(np.flatnonzero(counts), cols)
+    assert np.array_equal(counts[cols], share * 2**d)
+
+
+@pytest.mark.parametrize("case", ["uniform", "even_along_axis_0", "ce3_shifted"])
+def test_orbit_columns_of_any_other_potential_are_every_column(case):
+    g = GridSpec(2, 8, 4.0)
+    u = np.random.default_rng(12).uniform(0.0, 3.0, g.shape)
+    if case == "uniform":
+        V = Field(g, u)
+    elif case == "even_along_axis_0":
+        V = Field(g, u + np.take(u, -np.arange(g.n) % g.n, axis=0))
+    else:
+        V = potentials.discretize_potential(potentials.ce3(), g)
+        V = Field(g, np.roll(V.values, 1, axis=0))
+    cols, share, flip_axes = semigroup.orbit_columns(V)
+    assert np.array_equal(cols, np.arange(g.num_points))
+    assert np.array_equal(share, np.ones(g.num_points)) and flip_axes == ()
+
+
 @pytest.mark.parametrize("rule", ["zero", "apply"])  # phi off the kernel, or phi everywhere
 @pytest.mark.parametrize(
     "pot,layout",

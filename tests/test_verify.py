@@ -174,7 +174,7 @@ def test_gaussian_envelope_by_offset_equals_pairwise_reference(n, R):
 
 
 def test_gaussian_envelope_reads_every_column_block(monkeypatch):
-    # 512 kernel columns in 74 blocks of 7, the last one partial
+    # the 125 orbit columns of the 512 (ce2 is even) in 18 blocks of 7, the last one partial
     want = _pairwise_envelope_reference(0.25, 8, 2.5)
     monkeypatch.setattr(semigroup, "COLUMN_BLOCK", 7)
     got = verify.gaussian_envelope_spotcheck(t=0.25, n=8, R=2.5)
