@@ -173,10 +173,15 @@ def l2_norms(stack: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 def lp_ratios(num: np.ndarray, den: np.ndarray, spec: GridSpec, p: float) -> np.ndarray:
     """Per-field ||num_i||_p / ||den_i||_p; a zero field in ``den`` raises."""
+    return lp_norms(num, spec, p) / lp_denominators(den, spec, p)
+
+
+def lp_denominators(den: np.ndarray, spec: GridSpec, p: float) -> np.ndarray:
+    """lp_norms of the fields a ratio divides by, formed once for several numerators."""
     bottom = lp_norms(den, spec, p)
     if not np.all(bottom > 0):
         raise ValueError("zero input field")
-    return lp_norms(num, spec, p) / bottom
+    return bottom
 
 
 # Samples per block of nested_lp_norms: its memory stays a few arrays of

@@ -5,8 +5,11 @@ its fractional powers, coordinate derivatives, and the classical Riesz
 transforms.  All act as pointwise symbols m(xi) in frequency, with
 xi = (pi/R) * k per axis, k integer in [-n/2, n/2).
 
-:func:`apply_symbol_stack` is the one FFT multiplier, with a residue check
-per field; :func:`apply_multiplier` is that call on one field.
+:func:`apply_symbol_stack` is the one FFT multiplier, on real stacks: it
+applies the symbol's Hermitian part by real-to-complex transforms over the
+field axes.  The per-field residue check runs only when the symbol has a
+nonzero anti-Hermitian part (:func:`hermitian_parts`), which no catalog
+symbol has.  :func:`apply_multiplier` is that call on one field.
 
 Conventions: negative powers and Riesz multipliers send the mean mode to
 zero.  Odd symbols (Deriv, Riesz) also vanish on their axis Nyquist plane
@@ -138,22 +141,43 @@ def apply_multiplier(f: Field, m: MultiplierSpec) -> Field:
     return Field(f.spec, apply_symbol_stack(f.values, m.symbol(f.spec), f.spec.d))
 
 
+def hermitian_parts(symbol: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m(xi) + conj m(-xi))/2 and (m(xi) - conj m(-xi))/2 over the last d axes.
+
+    A real field has a Hermitian spectrum, so the first part maps it to a
+    real field and the second to an imaginary one.  Every catalog symbol is
+    exactly Hermitian on the grid: its second part is exactly zero.
+    """
+    mirror = np.conj(symbol)  # conj m(-xi): index k -> -k mod n on each field axis
+    for a in range(symbol.ndim - d, symbol.ndim):
+        mirror = mirror.take(-np.arange(symbol.shape[a]) % symbol.shape[a], axis=a)
+    return 0.5 * (symbol + mirror), 0.5 * (symbol - mirror)
+
+
 def apply_symbol_stack(stack: np.ndarray, symbol: np.ndarray, d: int) -> np.ndarray:
     """FFT, pointwise symbol, inverse FFT over the last d axes of a real stack.
 
     The symbol broadcasts: (k, *grid) symbols on a (batch, 1, *grid) stack
-    give (batch, k, *grid).  Each output field must be real to round-off; an
-    imaginary residue above 1e-10 of its own scale (max |out.real|, max
-    |input|) signals an internal inconsistency and raises.
+    give (batch, k, *grid).  The symbol's Hermitian part gives the output,
+    through rfftn/irfftn on the half spectrum.  Only when its anti-Hermitian
+    part is nonzero does a complex transform pair run, on that part alone:
+    its response is the imaginary residue the complex transform of the whole
+    symbol would leave.  A residue above 1e-10 of a field's own scale
+    (max |out|, max |input|) signals an internal inconsistency and raises.
     """
     axes = tuple(range(stack.ndim - d, stack.ndim))
-    out = np.fft.ifftn(np.fft.fftn(stack, axes=axes) * symbol, axes=axes)
-    residue = np.abs(out.imag).max(axis=axes)
-    scale = np.maximum(np.abs(out.real).max(axis=axes), np.abs(stack).max(axis=axes))
-    bad = residue > 1e-10 * np.maximum(scale, 1e-300)
-    if np.any(bad):
-        i = np.unravel_index(np.argmax(bad), bad.shape)
-        raise TransformResidueError(
-            f"symbol left imaginary residue {residue[i]:.3e} (scale {scale[i]:.3e})"
-        )
-    return out.real
+    shape = stack.shape[-d:]
+    hermitian, skew = hermitian_parts(symbol, d)
+    half = hermitian[..., : shape[-1] // 2 + 1]
+    out = np.fft.irfftn(np.fft.rfftn(stack, axes=axes) * half, s=shape, axes=axes)
+    if skew.any():
+        residue = np.fft.ifftn(np.fft.fftn(stack, axes=axes) * skew, axes=axes).imag
+        residue = np.abs(residue).max(axis=axes)
+        scale = np.maximum(np.abs(out).max(axis=axes), np.abs(stack).max(axis=axes))
+        bad = residue > 1e-10 * np.maximum(scale, 1e-300)
+        if np.any(bad):
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise TransformResidueError(
+                f"symbol left imaginary residue {residue[i]:.3e} (scale {scale[i]:.3e})"
+            )
+    return out

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import counterexamples, fracpow, potentials, riesz, semigroup, spectral
-from .grid import Field, GridSpec, l2_norms, lp_norm, lp_ratios, weak_l1
+from .grid import (Field, GridSpec, l2_norms, lp_denominators, lp_norm, lp_norms, lp_ratios,
+                   weak_l1)
 
 DENSE_TOL = 1e-6
 QUAD_TOL = 1e-3
@@ -170,24 +171,40 @@ def rng_for(seed: int, check_id: str) -> np.random.Generator:
 # trial fields
 
 
-def bandlimited_field(grid: GridSpec, rng: np.random.Generator, mean_zero: bool = True) -> Field:
-    """Random real field with frequencies at most n/4 per axis."""
-    w = rng.standard_normal(grid.shape)
-    F = np.fft.fftn(w)
-    k = np.fft.fftfreq(grid.n) * grid.n
-    mask = np.ones(grid.shape, dtype=bool)
+# Trial fields are drawn this many values at a time: each block is one
+# standard_normal call and one fftn/ifftn pair over the field axes, so the
+# complex temporaries stay at 1 MB whatever the count.
+TRIAL_BLOCK_ELEMENTS = 2**16
+
+
+def _bandlimited(grid: GridSpec, rng: np.random.Generator, count: int,
+                 mean_zero: bool) -> np.ndarray:
+    """count random real fields with frequencies at most n/4 per axis, unit l2 norm.
+
+    The same fields, bit for bit, and the same generator state as drawing
+    them one field at a time: one draw of grid shape and one transform pair
+    each, then np.linalg.norm of that field.
+    """
+    band = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= grid.n // 4
+    keep = np.ones(grid.shape, dtype=bool)
     for a in range(grid.d):
         shape = [1] * grid.d
         shape[a] = grid.n
-        mask &= np.abs(k).reshape(shape) <= grid.n // 4
-    F[~mask] = 0.0
-    if mean_zero:
-        F[(0,) * grid.d] = 0.0
-    v = np.fft.ifftn(F).real
-    return Field(grid, v / np.linalg.norm(v))
+        keep &= band.reshape(shape)
+    keep[(0,) * grid.d] = not mean_zero
+    axes = tuple(range(1, grid.d + 1))
+    per = max(1, TRIAL_BLOCK_ELEMENTS // grid.num_points)
+    out = np.empty((count, *grid.shape))
+    for start in range(0, count, per):
+        F = np.fft.fftn(rng.standard_normal((min(per, count - start), *grid.shape)), axes=axes)
+        F[:, ~keep] = 0.0
+        out[start:start + per] = np.fft.ifftn(F, axes=axes).real
+    for v in out:
+        v /= np.linalg.norm(v)
+    return out
 
 
-def structured_fields(grid: GridSpec, mean_zero: bool) -> list[Field]:
+def structured_fields(grid: GridSpec, mean_zero: bool) -> np.ndarray:
     """Eight fixed stress fields: near-deltas, indicators, tensor Gaussians.
 
     On coarse grids an indicator can be empty, or constant and so zero once
@@ -215,8 +232,8 @@ def structured_fields(grid: GridSpec, mean_zero: bool) -> list[Field]:
             v = v - v.mean()
         norm = np.linalg.norm(v)
         if norm > 0:
-            fields.append(Field(grid, v / norm))
-    return fields
+            fields.append(v / norm)
+    return np.stack(fields)
 
 
 def trial_family(
@@ -225,29 +242,26 @@ def trial_family(
     count: int,
     mean_zero: bool = True,
     structured: bool = True,
-) -> list[Field]:
-    fields = []
+) -> np.ndarray:
+    """A (count, *grid.shape) stack of unit-l2 trial fields.
+
+    Band-limited draws; with ``structured`` and count > 8 the last eight are
+    the :func:`structured_fields` instead, fewer where a coarse grid drops one.
+    """
     n_struct = 8 if structured and count > 8 else 0
-    for _ in range(count - n_struct):
-        fields.append(bandlimited_field(grid, rng, mean_zero))
+    fields = _bandlimited(grid, rng, count - n_struct, mean_zero)
     if n_struct:
-        fields.extend(structured_fields(grid, mean_zero))
+        fields = np.concatenate([fields, structured_fields(grid, mean_zero)])
     return fields
 
 
-def nonneg_trials(grid: GridSpec, rng: np.random.Generator, count: int) -> list[Field]:
-    """Nonnegative band-limited fields with a small positive floor."""
-    fields = []
-    for _ in range(count):
-        f = bandlimited_field(grid, rng, mean_zero=False)
-        v = f.values - f.values.min()
-        v += 0.05 * v.max()
-        fields.append(Field(grid, v / np.abs(v).max()))
-    return fields
-
-
-def _stack(fields: list[Field]) -> np.ndarray:
-    return np.stack([f.values for f in fields])
+def nonneg_trials(grid: GridSpec, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Nonnegative band-limited fields with a small positive floor, max 1 each."""
+    v = _bandlimited(grid, rng, count, mean_zero=False)
+    axes = tuple(range(1, grid.d + 1))
+    v -= v.min(axis=axes, keepdims=True)
+    v += 0.05 * v.max(axis=axes, keepdims=True)
+    return v / np.abs(v).max(axis=axes, keepdims=True)
 
 
 def _field_max(stack: np.ndarray) -> np.ndarray:
@@ -294,8 +308,7 @@ def check_domination(cfg: RunConfig) -> CheckReport:
     """Pointwise semigroup domination: K_t f <= H_t f + tol for nonneg f."""
     rng = rng_for(cfg.seed, "DOMINATION")
     grid = cfg.grid()
-    fields = nonneg_trials(grid, rng, 20)
-    stack = _stack(fields)
+    stack = nonneg_trials(grid, rng, 20)
     pots = [potentials.harmonic()]
     if grid.d >= 2:
         pots.append(potentials.ce1(0.25))
@@ -362,8 +375,7 @@ def check_l2_contract(cfg: RunConfig) -> CheckReport:
     """L2 ratio of the half-power factor at most 1 for every catalog V."""
     rng = rng_for(cfg.seed, "L2_CONTRACT")
     grid = cfg.grid()
-    fields = trial_family(grid, rng, cfg.trials, mean_zero=True, structured=False)
-    stack = _stack(fields)
+    stack = trial_family(grid, rng, cfg.trials, mean_zero=True, structured=False)
     norms = l2_norms(stack, grid)
     worst = -math.inf
     per = {}
@@ -388,8 +400,7 @@ def check_l1_bound(cfg: RunConfig) -> CheckReport:
     catalog = potentials.standard_catalog(grid.d)
     for pot in catalog:
         mean_zero = pot.tag == "zero"
-        fields = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
-        stack = _stack(fields)
+        stack = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
         V = potentials.discretize_potential(pot, grid)
         out = riesz.factor_from_inv_sqrt(fracpow.dense_power(stack, V, -0.5), grid)
         num = np.abs(out.reshape(len(out), -1)).sum(axis=1)
@@ -439,8 +450,7 @@ def check_interp(cfg: RunConfig) -> CheckReport:
     catalog = potentials.standard_catalog(grid.d)
     for pot in catalog:
         mean_zero = pot.tag == "zero"
-        fields = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
-        stack = _stack(fields)
+        stack = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
         V = potentials.discretize_potential(pot, grid)
         out = riesz.factor_from_inv_sqrt(fracpow.dense_power(stack, V, -0.5), grid)
         for p in ps:
@@ -488,7 +498,7 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
     for d in dims:
         grid = cfg.grid(d=d)
         V = potentials.discretize_potential(pot, grid)
-        stack = _stack(trial_family(grid, rng, cfg.theorem_trials, mean_zero=True))
+        stack = trial_family(grid, rng, cfg.theorem_trials, mean_zero=True)
         trials_by_d[d] = len(stack)
         halves = fracpow.dense_power(stack, V, -0.5)
         for start in range(0, len(stack), THEOREM_BLOCK):
@@ -500,8 +510,9 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
             # classical constants and the chain inequalities
             cls = riesz.classical_riesz(block, grid)
             for p in ps:
+                bottom = lp_denominators(block, grid, p)
                 cls_top, factor_top, vector_top = (
-                    float(lp_ratios(x, block, grid, p).max())
+                    float((lp_norms(x, grid, p) / bottom).max())
                     for x in (cls.magnitude, res.companion, res.magnitude)
                 )
                 classical_max[p] = max(classical_max[p], cls_top)
@@ -603,7 +614,7 @@ def check_vhalf(cfg: RunConfig) -> CheckReport:
     for d in dims:
         grid = cfg.grid(d=d)
         V = potentials.discretize_potential(pot, grid)
-        stack = _stack(trial_family(grid, rng, 24, mean_zero=True))
+        stack = trial_family(grid, rng, 24, mean_zero=True)
         outs = riesz.sqrt_potential_inv_sqrt(stack, V)
         for p in ps:
             per[f"d{d}_p{p:g}"] = float(lp_ratios(outs, stack, grid, p).max())
@@ -800,7 +811,7 @@ def check_quad_vs_dense(cfg: RunConfig) -> CheckReport:
     ran = {}
     for d, n in QUAD_GRIDS:
         grid = GridSpec(d, n, cfg.R)
-        stack = _stack(trial_family(grid, rng, 8, mean_zero=True, structured=False))
+        stack = trial_family(grid, rng, 8, mean_zero=True, structured=False)
         for pot in potentials.standard_catalog(d):
             ran[pot.label()] = None
             V = potentials.discretize_potential(pot, grid)

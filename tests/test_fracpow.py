@@ -140,8 +140,7 @@ def test_step_controller_halves_the_strang_work(monkeypatch):
     # the worst QUAD_VS_DENSE entry, d1 ce2(4) at power -1.
     g = GridSpec(1, 32, 4.0)
     V = potentials.discretize_potential(potentials.ce2(4.0), g)
-    fields = verify.trial_family(g, verify.rng_for(1, "QUAD_VS_DENSE"), 8, structured=False)
-    stack = np.stack([f.values for f in fields])
+    stack = verify.trial_family(g, verify.rng_for(1, "QUAD_VS_DENSE"), 8, structured=False)
     steps = []
     evolve = semigroup.evolve_stack
 
@@ -166,8 +165,7 @@ def test_direct_node_rule_keeps_quad_vs_dense_accuracy():
     g = GridSpec(1, 32, 4.0)
     V = potentials.discretize_potential(potentials.harmonic(), g)
     rng = verify.rng_for(1234, "QUAD_VS_DENSE")
-    fields = verify.trial_family(g, rng, 8, mean_zero=True, structured=False)
-    stack = np.stack([f.values for f in fields])
+    stack = verify.trial_family(g, rng, 8, mean_zero=True, structured=False)
     got, _ = fracpow.subordinated_apply_stack(stack, V, -0.5, tol=1e-6)
     ref = fracpow.dense_power(stack, V, -0.5)
     err = np.linalg.norm((got - ref).reshape(8, -1), axis=1) / np.linalg.norm(
@@ -206,7 +204,7 @@ def test_log_trapezoid_rule_walks_few_nodes(monkeypatch):
     g = GridSpec(1, 32, 4.0)
     V = potentials.discretize_potential(potentials.ce2(4.0), g)
     rng = verify.rng_for(1234, "QUAD_VS_DENSE")
-    stack = np.stack([f.values for f in verify.trial_family(g, rng, 8, structured=False)])
+    stack = verify.trial_family(g, rng, 8, structured=False)
     calls = []
     evolve = semigroup.evolve_stack
 
@@ -247,7 +245,7 @@ def test_one_walk_serves_every_power(pot):
     g = GridSpec(1, 32, 4.0)
     V = potentials.discretize_potential(pot, g)
     rng = verify.rng_for(1234, "QUAD_VS_DENSE")
-    stack = np.stack([f.values for f in verify.trial_family(g, rng, 4, structured=False)])
+    stack = verify.trial_family(g, rng, 4, structured=False)
     got, est = fracpow.subordinated_apply_stack(stack, V, fracpow.POWERS)
     assert got.shape == est.shape == (3, *stack.shape)
     for power, out in zip(fracpow.POWERS, got):
@@ -276,7 +274,7 @@ def test_walk_sums_match_a_per_node_reference(monkeypatch, d, n, pot):
     g = GridSpec(d, n, 4.0)
     V = potentials.discretize_potential(pot, g)
     rng = verify.rng_for(1234, "QUAD_VS_DENSE")
-    stack = np.stack([f.values for f in verify.trial_family(g, rng, 4, structured=False)])
+    stack = verify.trial_family(g, rng, 4, structured=False)
     calls = []  # (steps, states): a coarse call, then its fine twin
     evolve = semigroup.evolve_stack
 

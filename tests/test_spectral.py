@@ -226,3 +226,53 @@ def test_stack_residue_checked_per_field(d, n):
     np.testing.assert_allclose(out, 1e12, rtol=1e-12)
     with pytest.raises(spectral.TransformResidueError):  # one field, no batch axis
         spectral.apply_symbol_stack(noisy, symbol, d)
+
+
+def catalog(d, t=0.3):
+    """Every catalog multiplier on a d-dimensional grid."""
+    out = [spectral.heat(t), spectral.laplacian(), spectral.sqrt_laplacian(),
+           spectral.inv_sqrt_laplacian(), spectral.inv_laplacian()]
+    return out + [m(j) for m in (spectral.derivative, spectral.riesz) for j in range(1, d + 1)]
+
+
+@pytest.mark.parametrize("d,n,R", [(1, 32, 4.0), (2, 16, 2.5), (3, 8, 1.3)])
+def test_catalog_symbols_are_exactly_hermitian(d, n, R):
+    g = GridSpec(d, n, R)
+    for m in catalog(d):
+        hermitian, skew = spectral.hermitian_parts(m.symbol(g), d)
+        assert np.all(skew == 0), m
+        assert np.array_equal(hermitian, m.symbol(g)), m
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+def test_real_transform_matches_complex_transform(d, n):
+    g = GridSpec(d, n, 3.0)
+    stack = np.random.default_rng(d).standard_normal((3, *g.shape))
+    axes = tuple(range(1, d + 1))
+    for m in catalog(d):
+        want = np.fft.ifftn(np.fft.fftn(stack, axes=axes) * m.symbol(g), axes=axes).real
+        got = spectral.apply_symbol_stack(stack, m.symbol(g), d)
+        for x, y, f in zip(got, want, stack):
+            scale = max(np.abs(y).max(), np.abs(f).max())
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-13 * scale, err_msg=str(m))
+
+
+def test_anti_hermitian_part_response_is_the_complex_residue():
+    # the anti-Hermitian part alone gives the imaginary part of the complex
+    # transform of the whole symbol, up to that transform's round-off
+    g = GridSpec(2, 8, 2.0)
+    v = np.random.default_rng(0).standard_normal(g.shape)
+    for skew_size, raises in ((1e-3, True), (1e-13, False)):
+        symbol = np.ones(g.shape, dtype=complex)
+        symbol[1, 1] += skew_size * 1j
+        full = np.fft.ifftn(np.fft.fftn(v) * symbol)
+        _, skew = spectral.hermitian_parts(symbol, 2)
+        assert np.count_nonzero(skew) == 2
+        np.testing.assert_allclose(np.fft.ifftn(np.fft.fftn(v) * skew).imag, full.imag,
+                                   rtol=0, atol=1e-15 * np.abs(v).max())
+        if raises:
+            with pytest.raises(spectral.TransformResidueError):
+                spectral.apply_symbol_stack(v, symbol, 2)
+        else:
+            out = spectral.apply_symbol_stack(v, symbol, 2)
+            np.testing.assert_allclose(out, full.real, rtol=0, atol=1e-13 * np.abs(v).max())

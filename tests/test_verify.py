@@ -24,25 +24,83 @@ def test_trial_family_counts_and_meanzero():
     g = GridSpec(2, 16, 4.0)
     rng = verify.rng_for(1, "X")
     fam = verify.trial_family(g, rng, 20, mean_zero=True)
-    assert len(fam) == 20
-    for f in fam:
-        assert abs(f.values.mean()) <= 1e-12
-        assert np.linalg.norm(f.values) == pytest.approx(1.0)
+    assert fam.shape == (20, *g.shape)
+    for v in fam:
+        assert abs(v.mean()) <= 1e-12
+        assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
 def test_nonneg_trials_are_nonneg():
     g = GridSpec(2, 16, 4.0)
     rng = verify.rng_for(2, "Y")
-    for f in verify.nonneg_trials(g, rng, 5):
-        assert f.values.min() >= 0.0
+    for v in verify.nonneg_trials(g, rng, 5):
+        assert v.min() >= 0.0
 
 
 def test_bandlimited_spectrum_is_limited():
     g = GridSpec(1, 32, 4.0)
-    f = verify.bandlimited_field(g, verify.rng_for(3, "Z"))
-    F = np.fft.fft(f.values)
+    (v,) = verify.trial_family(g, verify.rng_for(3, "Z"), 1, structured=False)
+    F = np.fft.fft(v)
     k = np.abs(np.fft.fftfreq(g.n) * g.n)
     assert np.max(np.abs(F[k > g.n // 4])) <= 1e-10
+
+
+def per_field_draws(g, rng, count, mean_zero):
+    """The reference recipe: one standard_normal, fftn/ifftn pair and norm per field."""
+    k = np.abs(np.fft.fftfreq(g.n) * g.n)
+    mask = np.ones(g.shape, dtype=bool)
+    for a in range(g.d):
+        shape = [1] * g.d
+        shape[a] = g.n
+        mask &= k.reshape(shape) <= g.n // 4
+    fields = []
+    for _ in range(count):
+        F = np.fft.fftn(rng.standard_normal(g.shape))
+        F[~mask] = 0.0
+        if mean_zero:
+            F[(0,) * g.d] = 0.0
+        v = np.fft.ifftn(F).real
+        fields.append(v / np.linalg.norm(v))
+    return np.array(fields).reshape(count, *g.shape)
+
+
+def per_field_nonneg(g, rng, count):
+    fields = []
+    for v in per_field_draws(g, rng, count, mean_zero=False):
+        v = v - v.min()
+        v += 0.05 * v.max()
+        fields.append(v / np.abs(v).max())
+    return np.array(fields).reshape(count, *g.shape)
+
+
+DRAWS = {  # the draw under test, then its per-field reference
+    "mean_zero": (lambda g, rng, k: verify.trial_family(g, rng, k, True, structured=False),
+                  lambda g, rng, k: per_field_draws(g, rng, k, True)),
+    "with_mean": (lambda g, rng, k: verify.trial_family(g, rng, k, False, structured=False),
+                  lambda g, rng, k: per_field_draws(g, rng, k, False)),
+    "nonneg": (verify.nonneg_trials, per_field_nonneg),
+}
+
+
+@pytest.mark.parametrize("kind", DRAWS)
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 16)])
+def test_trial_draws_equal_the_per_field_recipe_bit_for_bit(d, n, kind):
+    g = GridSpec(d, n, 4.0)
+    draw, reference = DRAWS[kind]
+    block = verify.TRIAL_BLOCK_ELEMENTS // g.num_points  # fields per draw
+    for count in (0, 1, block - 1, block, block + 1, 100):
+        rng, ref_rng = verify.rng_for(count, "DRAW"), verify.rng_for(count, "DRAW")
+        got, want = draw(g, rng, count), reference(g, ref_rng, count)
+        assert got.shape == (count, *g.shape)
+        assert np.array_equal(got, want), count
+        assert np.array_equal(rng.standard_normal(3), ref_rng.standard_normal(3)), count
+
+
+def test_structured_trials_follow_the_draws():
+    g = GridSpec(2, 16, 4.0)
+    fam = verify.trial_family(g, verify.rng_for(1, "X"), 20)
+    assert np.array_equal(fam[:12], per_field_draws(g, verify.rng_for(1, "X"), 12, True))
+    assert np.array_equal(fam[12:], verify.structured_fields(g, True))
 
 
 def test_parse_potential_forms():
