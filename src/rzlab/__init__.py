@@ -4,7 +4,7 @@ L = -Delta + V with nonnegative potentials, on discretized periodic boxes.
 
 from .grid import Field, GridSpec, lp_norm, read_field, sample, weak_l1, write_field
 from .potentials import PotentialSpec, discretize_potential, eval_potential
-from .semigroup import DenseOperator, dense_schrodinger, fk_kernel_estimate, strang_evolve
+from .semigroup import DenseOperator, dense_schrodinger, fk_kernel_estimate
 from .fracpow import (
     TimeQuadrature,
     build_quadrature,
@@ -29,7 +29,6 @@ __all__ = [
     "discretize_potential",
     "DenseOperator",
     "dense_schrodinger",
-    "strang_evolve",
     "fk_kernel_estimate",
     "TimeQuadrature",
     "build_quadrature",

@@ -47,12 +47,12 @@ class PotentialSpec:
     def __post_init__(self) -> None:
         if self.tag not in ("zero", "const", "harmonic", "ce1", "ce2", "ce3", "custom"):
             raise ValueError(f"unknown potential tag {self.tag!r}")
-        if self.tag == "const" and self.c < 0:
-            raise ValueError("constant potential must be >= 0")
+        if self.tag == "const" and not 0 <= self.c < math.inf:
+            raise ValueError(f"constant potential must be finite and >= 0, got {self.c}")
         if self.tag == "ce1" and not 0 < self.eps < 1:
             raise ValueError(f"ce1 exponent must lie in (0, 1), got {self.eps}")
-        if self.tag == "ce2" and not self.p > 2:
-            raise ValueError(f"ce2 requires p > 2, got {self.p}")
+        if self.tag == "ce2" and not 2 < self.p < math.inf:
+            raise ValueError(f"ce2 requires a finite p > 2, got {self.p}")
         if self.tag == "custom" and self.field is None:
             raise ValueError("custom potential needs a Field")
         if self.tag == "custom" and np.any(self.field.values < 0):

@@ -40,15 +40,15 @@ ROUTES = ("direct", "factored")
 def _vector(stack: np.ndarray, grid: GridSpec, multiplier, route: str,
             companion: np.ndarray | None = None) -> RieszResult:
     """multiplier(j), j = 1..d, applied to each field, with the l2 magnitude."""
-    symbols = np.stack([multiplier(j).symbol(grid) for j in range(1, grid.d + 1)])
-    comps = spectral.apply_symbol_stack(stack[:, None], symbols, grid.d)
+    vector = tuple(multiplier(j) for j in range(1, grid.d + 1))
+    comps = spectral.apply_symbol_stack(stack[:, None], vector, grid)
     return RieszResult(components=comps, magnitude=np.sqrt((comps**2).sum(axis=1)),
                        route=route, companion=companion)
 
 
 def factor_from_inv_sqrt(half: np.ndarray, grid: GridSpec) -> np.ndarray:
     """g = sqrt(-Delta) L^(-1/2) f for each field, given half = L^(-1/2) f."""
-    return spectral.apply_symbol_stack(half, spectral.sqrt_laplacian().symbol(grid), grid.d)
+    return spectral.apply_symbol_stack(half, spectral.sqrt_laplacian(), grid)
 
 
 def riesz_from_inv_sqrt(half: np.ndarray, grid: GridSpec, *,

@@ -112,16 +112,6 @@ def evolve_stack(stack: np.ndarray, V: Field, t: float | np.ndarray, steps: int)
     return u if np.ndim(t) else u[0]
 
 
-def strang_evolve(f: Field, V: Field, t: float, steps: int) -> Field:
-    """Approximate e^{-tL} f by symmetric operator splitting."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    _check_potential(V, f.spec)
-    return Field(f.spec, evolve_stack(f.values, V, t, steps))
-
-
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Eigendecomposition of L on a grid: per-axis bases plus eigen-blocks.
@@ -175,7 +165,7 @@ def _circulant_column(grid: GridSpec, m: spectral.MultiplierSpec) -> np.ndarray:
     """
     delta = np.zeros(grid.shape)
     delta[(0,) * grid.d] = 1.0
-    col = spectral.apply_symbol_stack(delta, m.symbol(grid), grid.d)
+    col = spectral.apply_symbol_stack(delta, m, grid)
     axes = tuple(range(grid.d))
     return 0.5 * (col + np.roll(np.flip(col, axes), 1, axes))
 

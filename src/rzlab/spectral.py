@@ -6,10 +6,10 @@ transforms.  All act as pointwise symbols m(xi) in frequency, with
 xi = (pi/R) * k per axis, k integer in [-n/2, n/2).
 
 :func:`apply_symbol_stack` is the one FFT multiplier, on real stacks: it
-applies the symbol's Hermitian part by real-to-complex transforms over the
-field axes.  The per-field residue check runs only when the symbol has a
-nonzero anti-Hermitian part (:func:`hermitian_parts`), which no catalog
-symbol has.  :func:`apply_multiplier` is that call on one field.
+takes a catalog spec (or a tuple of them, one per output component), looks
+up that spec's cached half spectrum and runs only real-to-complex
+transforms over the field axes.  How a symbol is stored is known here
+alone.  :func:`apply_multiplier` is that call on one field.
 
 Conventions: negative powers and Riesz multipliers send the mean mode to
 zero.  Odd symbols (Deriv, Riesz) also vanish on their axis Nyquist plane
@@ -25,10 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Field, GridSpec
-
-
-class TransformResidueError(RuntimeError):
-    """Output of a real multiplier application had a non-real residue."""
 
 
 _TAGS = ("heat", "lap", "sqrt_lap", "inv_sqrt_lap", "inv_lap", "deriv", "riesz")
@@ -60,9 +56,22 @@ class MultiplierSpec:
             raise ValueError(f"{self.tag} takes no axis parameter")
 
     def symbol(self, spec: GridSpec) -> np.ndarray:
+        """The full symbol m(xi) on the grid's frequency mesh."""
         if self.axis is not None and self.axis > spec.d:
             raise ValueError(f"axis {self.axis} out of range for d={spec.d}")
-        return _symbol(self, spec)
+        xi2 = _xi_squared(spec)
+        if self.tag == "heat":
+            return np.exp(-self.t * xi2)
+        if self.tag == "lap":
+            return -xi2
+        if self.tag == "sqrt_lap":
+            return np.sqrt(xi2)
+        if self.tag == "inv_sqrt_lap":
+            return _safe_inverse(np.sqrt(xi2))
+        if self.tag == "inv_lap":
+            return _safe_inverse(xi2)
+        odd = 1j * _odd_axis_freq(spec, self.axis - 1)
+        return odd if self.tag == "deriv" else odd * _safe_inverse(np.sqrt(xi2))
 
 
 def heat(t: float) -> MultiplierSpec:
@@ -94,24 +103,21 @@ def riesz(axis: int) -> MultiplierSpec:
 
 
 @lru_cache(maxsize=256)
-def _symbol(m: MultiplierSpec, spec: GridSpec) -> np.ndarray:
-    xi2 = _xi_squared(spec)
-    if m.tag == "heat":
-        sym = np.exp(-m.t * xi2)
-    elif m.tag == "lap":
-        sym = -xi2
-    elif m.tag == "sqrt_lap":
-        sym = np.sqrt(xi2)
-    elif m.tag == "inv_sqrt_lap":
-        sym = _safe_inverse(np.sqrt(xi2))
-    elif m.tag == "inv_lap":
-        sym = _safe_inverse(xi2)
-    elif m.tag == "deriv":
-        sym = 1j * _odd_axis_freq(spec, m.axis - 1)
-    else:  # riesz
-        sym = 1j * _odd_axis_freq(spec, m.axis - 1) * _safe_inverse(np.sqrt(xi2))
-    sym.setflags(write=False)
-    return sym
+def _half_spectrum(m: MultiplierSpec | tuple[MultiplierSpec, ...], spec: GridSpec) -> np.ndarray:
+    """(m(xi) + conj m(-xi))/2 on the rfftn half spectrum, stacked over a tuple.
+
+    A real field has a Hermitian spectrum, so this part of a symbol maps it
+    to the real part of the full complex transform.  Every catalog symbol
+    is exactly Hermitian on the grid, so the part is the symbol itself.
+    """
+    sym = np.stack([x.symbol(spec) for x in m]) if isinstance(m, tuple) else m.symbol(spec)
+    mirror = np.conj(sym)  # conj m(-xi): index k -> -k mod n on each field axis
+    for a in range(sym.ndim - spec.d, sym.ndim):
+        mirror = mirror.take(-np.arange(spec.n) % spec.n, axis=a)
+    # a copy, so that the cache does not keep the whole spectrum alive
+    half = np.ascontiguousarray((0.5 * (sym + mirror))[..., : spec.n // 2 + 1])
+    half.setflags(write=False)
+    return half
 
 
 @lru_cache(maxsize=64)
@@ -138,46 +144,17 @@ def _odd_axis_freq(spec: GridSpec, axis0: int) -> np.ndarray:
 
 def apply_multiplier(f: Field, m: MultiplierSpec) -> Field:
     """Apply a catalog multiplier to one field (see :func:`apply_symbol_stack`)."""
-    return Field(f.spec, apply_symbol_stack(f.values, m.symbol(f.spec), f.spec.d))
+    return Field(f.spec, apply_symbol_stack(f.values, m, f.spec))
 
 
-def hermitian_parts(symbol: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m(xi) + conj m(-xi))/2 and (m(xi) - conj m(-xi))/2 over the last d axes.
+def apply_symbol_stack(stack: np.ndarray, m: MultiplierSpec | tuple[MultiplierSpec, ...],
+                       spec: GridSpec) -> np.ndarray:
+    """Catalog multiplier m on the last d axes of a real stack on the grid ``spec``.
 
-    A real field has a Hermitian spectrum, so the first part maps it to a
-    real field and the second to an imaginary one.  Every catalog symbol is
-    exactly Hermitian on the grid: its second part is exactly zero.
+    A tuple of specs gives one output component each: on a (batch, 1, *grid)
+    stack it gives (batch, k, *grid).  One rfftn, a product with the cached
+    half spectrum, one irfftn.
     """
-    mirror = np.conj(symbol)  # conj m(-xi): index k -> -k mod n on each field axis
-    for a in range(symbol.ndim - d, symbol.ndim):
-        mirror = mirror.take(-np.arange(symbol.shape[a]) % symbol.shape[a], axis=a)
-    return 0.5 * (symbol + mirror), 0.5 * (symbol - mirror)
-
-
-def apply_symbol_stack(stack: np.ndarray, symbol: np.ndarray, d: int) -> np.ndarray:
-    """FFT, pointwise symbol, inverse FFT over the last d axes of a real stack.
-
-    The symbol broadcasts: (k, *grid) symbols on a (batch, 1, *grid) stack
-    give (batch, k, *grid).  The symbol's Hermitian part gives the output,
-    through rfftn/irfftn on the half spectrum.  Only when its anti-Hermitian
-    part is nonzero does a complex transform pair run, on that part alone:
-    its response is the imaginary residue the complex transform of the whole
-    symbol would leave.  A residue above 1e-10 of a field's own scale
-    (max |out|, max |input|) signals an internal inconsistency and raises.
-    """
-    axes = tuple(range(stack.ndim - d, stack.ndim))
-    shape = stack.shape[-d:]
-    hermitian, skew = hermitian_parts(symbol, d)
-    half = hermitian[..., : shape[-1] // 2 + 1]
-    out = np.fft.irfftn(np.fft.rfftn(stack, axes=axes) * half, s=shape, axes=axes)
-    if skew.any():
-        residue = np.fft.ifftn(np.fft.fftn(stack, axes=axes) * skew, axes=axes).imag
-        residue = np.abs(residue).max(axis=axes)
-        scale = np.maximum(np.abs(out).max(axis=axes), np.abs(stack).max(axis=axes))
-        bad = residue > 1e-10 * np.maximum(scale, 1e-300)
-        if np.any(bad):
-            i = np.unravel_index(np.argmax(bad), bad.shape)
-            raise TransformResidueError(
-                f"symbol left imaginary residue {residue[i]:.3e} (scale {scale[i]:.3e})"
-            )
-    return out
+    axes = tuple(range(stack.ndim - spec.d, stack.ndim))
+    spectrum = np.fft.rfftn(stack, axes=axes) * _half_spectrum(m, spec)
+    return np.fft.irfftn(spectrum, s=spec.shape, axes=axes)

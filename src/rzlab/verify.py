@@ -80,8 +80,8 @@ class RunConfig:
             value, want = getattr(self, f.name), type(f.default)
             if not _is_a(value, want):
                 raise ValueError(f"config {f.name} must be {want.__name__}, got {value!r}")
-        if not self.p_list or not all(_is_a(p, float) and p >= 1 for p in self.p_list):
-            raise ValueError(f"config p_list must hold numbers >= 1, got {self.p_list!r}")
+        if not self.p_list or not all(_is_a(p, float) and 1 <= p < math.inf for p in self.p_list):
+            raise ValueError(f"config p_list must hold finite numbers >= 1, got {self.p_list!r}")
         for name, low in (("seed", 0), ("trials", 1), ("theorem_trials", 1),
                           ("fk_paths", 1), ("fk_slices", 1)):
             if getattr(self, name) < low:
@@ -319,7 +319,7 @@ def check_domination(cfg: RunConfig) -> CheckReport:
         for t in (0.1, 0.5, 1.0):
             steps = semigroup.default_steps(t, cfg.strang_tau)
             kt = semigroup.evolve_stack(stack, V, t, steps)
-            ht = spectral.apply_symbol_stack(stack, spectral.heat(t).symbol(grid), grid.d)
+            ht = spectral.apply_symbol_stack(stack, spectral.heat(t), grid)
             excess = float(np.max(kt - ht))
             per[f"{pot.label()}_t{t:g}"] = excess
             worst = max(worst, excess)

@@ -356,6 +356,10 @@ def test_flags_override_config_file(tmp_path):
     ([], {"n": "16"}),
     ([], {"jobs": 2}),
     ([], "missing"),
+    (["--potential", "const:nan"], None),
+    (["--potential", "const:inf"], None),
+    (["--potential", "ce2:inf"], None),
+    (["--p", "inf"], None),
 ])
 def test_bad_settings_exit_2_with_one_line(flags, config, tmp_path, capsys):
     if config is not None:

@@ -205,27 +205,8 @@ def test_real_input_gives_real_output_property(g, seed, t):
         full = np.fft.ifftn(np.fft.fftn(v) * m.symbol(g))
         scale = max(np.abs(full.real).max(), np.abs(v).max())
         assert np.abs(full.imag).max() <= 1e-13 * scale, m
-        spectral.apply_multiplier(Field(g, v), m)  # raises on a residue above 1e-10
-
-
-@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 4)])
-def test_stack_residue_checked_per_field(d, n):
-    # the symbol is not Hermitian at one mode, so it turns real fields complex;
-    # a constant field has no content there and stays real
-    g = GridSpec(d, n, 2.0)
-    symbol = np.ones(g.shape, dtype=complex)
-    symbol[(1,) * d] += 1j
-    noisy = np.random.default_rng(d).standard_normal(g.shape)
-    with pytest.raises(spectral.TransformResidueError):
-        spectral.apply_symbol_stack(np.stack([noisy, noisy]), symbol, d)
-    # a small field next to a large one is judged on its own scale
-    small_next_to_large = np.stack([np.full(g.shape, 1e12), 1e-3 * noisy])
-    with pytest.raises(spectral.TransformResidueError):
-        spectral.apply_symbol_stack(small_next_to_large, symbol, d)
-    out = spectral.apply_symbol_stack(np.full((2, *g.shape), 1e12), symbol, d)
-    np.testing.assert_allclose(out, 1e12, rtol=1e-12)
-    with pytest.raises(spectral.TransformResidueError):  # one field, no batch axis
-        spectral.apply_symbol_stack(noisy, symbol, d)
+        out = spectral.apply_multiplier(Field(g, v), m).values
+        np.testing.assert_allclose(out, full.real, rtol=0, atol=1e-13 * scale, err_msg=str(m))
 
 
 def catalog(d, t=0.3):
@@ -237,11 +218,14 @@ def catalog(d, t=0.3):
 
 @pytest.mark.parametrize("d,n,R", [(1, 32, 4.0), (2, 16, 2.5), (3, 8, 1.3)])
 def test_catalog_symbols_are_exactly_hermitian(d, n, R):
+    # m(xi) = conj m(-xi) bit for bit, so a real field maps to a real field
+    # and the half spectrum applied by real transforms is the whole symbol
     g = GridSpec(d, n, R)
-    for m in catalog(d):
-        hermitian, skew = spectral.hermitian_parts(m.symbol(g), d)
-        assert np.all(skew == 0), m
-        assert np.array_equal(hermitian, m.symbol(g)), m
+    flip = -np.arange(n) % n  # index k -> -k mod n
+    for m in catalog(d) + [spectral.heat(t) for t in (0.0, 1.7, 25.0)]:
+        sym = m.symbol(g)
+        mirror = np.conj(sym[np.ix_(*[flip] * d)])
+        assert np.array_equal(sym, mirror), m
 
 
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
@@ -251,28 +235,11 @@ def test_real_transform_matches_complex_transform(d, n):
     axes = tuple(range(1, d + 1))
     for m in catalog(d):
         want = np.fft.ifftn(np.fft.fftn(stack, axes=axes) * m.symbol(g), axes=axes).real
-        got = spectral.apply_symbol_stack(stack, m.symbol(g), d)
+        got = spectral.apply_symbol_stack(stack, m, g)
         for x, y, f in zip(got, want, stack):
             scale = max(np.abs(y).max(), np.abs(f).max())
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-13 * scale, err_msg=str(m))
-
-
-def test_anti_hermitian_part_response_is_the_complex_residue():
-    # the anti-Hermitian part alone gives the imaginary part of the complex
-    # transform of the whole symbol, up to that transform's round-off
-    g = GridSpec(2, 8, 2.0)
-    v = np.random.default_rng(0).standard_normal(g.shape)
-    for skew_size, raises in ((1e-3, True), (1e-13, False)):
-        symbol = np.ones(g.shape, dtype=complex)
-        symbol[1, 1] += skew_size * 1j
-        full = np.fft.ifftn(np.fft.fftn(v) * symbol)
-        _, skew = spectral.hermitian_parts(symbol, 2)
-        assert np.count_nonzero(skew) == 2
-        np.testing.assert_allclose(np.fft.ifftn(np.fft.fftn(v) * skew).imag, full.imag,
-                                   rtol=0, atol=1e-15 * np.abs(v).max())
-        if raises:
-            with pytest.raises(spectral.TransformResidueError):
-                spectral.apply_symbol_stack(v, symbol, 2)
-        else:
-            out = spectral.apply_symbol_stack(v, symbol, 2)
-            np.testing.assert_allclose(out, full.real, rtol=0, atol=1e-13 * np.abs(v).max())
+    # a tuple of specs is a vector: one output component per spec
+    vector = spectral.apply_symbol_stack(stack[:, None], tuple(catalog(d)), g)
+    each = [spectral.apply_symbol_stack(stack, m, g) for m in catalog(d)]
+    assert np.array_equal(vector, np.stack(each, axis=1))

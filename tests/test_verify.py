@@ -299,6 +299,10 @@ def test_runconfig_validation_messages():
         verify.RunConfig(n=5)
     with pytest.raises(ValueError, match="unknown potential"):
         verify.RunConfig(potential="foo")
+    with pytest.raises(ValueError, match="p_list must hold finite numbers >= 1"):
+        verify.RunConfig(p_list=(1.5, math.inf))
+    with pytest.raises(ValueError, match="constant potential must be finite"):
+        verify.RunConfig(potential="const:nan")
     with pytest.raises(ValueError, match=r"unknown config keys: \['jobs'\]"):
         verify.RunConfig.from_dict({"jobs": 2})
     assert verify.RunConfig(R=4).R == 4  # an int is accepted where a float is expected
