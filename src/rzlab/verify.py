@@ -113,6 +113,8 @@ def parse_potential(text: str) -> potentials.PotentialSpec:
     """Parse "zero", "const:2", "harmonic", "ce1:0.25", "ce2:4", "ce3"."""
     tag, _, arg = text.partition(":")
     tag = tag.strip().lower()
+    if arg and tag in ("zero", "harmonic", "ce3"):
+        raise ValueError(f"potential {tag!r} takes no argument, got {text!r}")
     if tag == "zero":
         return potentials.zero()
     if tag == "const":

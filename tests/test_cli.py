@@ -359,6 +359,9 @@ def test_flags_override_config_file(tmp_path):
     (["--potential", "const:nan"], None),
     (["--potential", "const:inf"], None),
     (["--potential", "ce2:inf"], None),
+    (["--potential", "zero:5"], None),
+    (["--potential", "harmonic:2"], None),
+    (["--potential", "ce3:2"], None),
     (["--p", "inf"], None),
 ])
 def test_bad_settings_exit_2_with_one_line(flags, config, tmp_path, capsys):

@@ -5,8 +5,12 @@ numpy already has what rzlab used it for: the Gauss-Legendre rule of the
 radial tail integrals (``leggauss``) and, through ``math``, the gamma
 function.  The subordination rule is a trapezoid rule in ln t and needs
 neither.
+
+Importing rzlab also pins numpy's BLAS to one thread, unless the caller has
+already chosen a thread count.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -69,3 +73,42 @@ def test_cold_cli_import_loads_no_thread_pool_or_logging():
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+# An importing parent passes OPENBLAS_NUM_THREADS=1 on to its children, so each child
+# starts from an environment without any of the three thread variables.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+THREAD_VARS_AFTER_IMPORT = f"""
+import json, os
+import rzlab
+print(json.dumps({{k: os.environ.get(k) for k in {BLAS_THREAD_VARS!r}}}))
+"""
+
+W_KERNEL_MEASURED = """
+import json
+import rzlab
+print(json.dumps(rzlab.run_check("W_KERNEL").measured, sort_keys=True, default=float))
+"""
+
+
+def run_child(code, **blas_env):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**env, **blas_env, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+@pytest.mark.parametrize("blas_env, expected", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}),
+    ({"OPENBLAS_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": "3", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}),
+    ({"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}),
+], ids=["unset", "openblas-3", "omp-2"])
+def test_import_pins_blas_to_one_thread_unless_a_count_is_chosen(blas_env, expected):
+    assert run_child(THREAD_VARS_AFTER_IMPORT, **blas_env) == expected
+
+
+def test_pin_reaches_blas_before_numpy_loads():
+    # W_KERNEL's kernel entries move in their last bits with the OpenBLAS thread count
+    assert run_child(W_KERNEL_MEASURED) == run_child(W_KERNEL_MEASURED, OPENBLAS_NUM_THREADS="1")

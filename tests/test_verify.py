@@ -110,6 +110,9 @@ def test_parse_potential_forms():
     assert verify.parse_potential("CE2:5").p == 5.0
     with pytest.raises(ValueError):
         verify.parse_potential("banana")
+    for text in ("zero:5", "harmonic:2", "harmonic:nan", "ce3:2"):
+        with pytest.raises(ValueError, match="takes no argument"):
+            verify.parse_potential(text)
 
 
 def test_runconfig_json_roundtrip():
