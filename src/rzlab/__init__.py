@@ -20,7 +20,7 @@ from .fracpow import (
     perturbation_kernel,
 )
 from .riesz import RieszResult, schrodinger_riesz, sqrt_potential_inv_sqrt
-from .counterexamples import SCANS, ce1_build, divergence_scan, green_bounded_check
+from .counterexamples import SCANS, divergence_scan, green_bounded_check
 from .verify import CheckReport, RunConfig, run_check, run_suite
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "RieszResult",
     "schrodinger_riesz",
     "sqrt_potential_inv_sqrt",
-    "ce1_build",
     "SCANS",
     "divergence_scan",
     "green_bounded_check",

@@ -155,7 +155,7 @@ def cmd_kernel(args) -> int:
         table = semigroup.fk_kernel_estimate(
             (pot,), [x], [y], [args.t], args.paths, args.seed, slices=args.slices
         )
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unreadable custom: field file
         return _error(exc)
     est, err = table[0, 0].tolist()
     print(f"kernel_estimate={est:.12g} stderr={err:.12g} "
@@ -268,9 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    made = []  # the out directories this run creates
     if hasattr(args, "config"):  # verify and check run from a RunConfig
         try:
             args.cfg = _load_config(args)
+            out = Path(args.cfg.out_dir)
+            made = [q for q in (out, *out.parents) if not q.exists()]
+            out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before any check runs
         except (ValueError, OSError) as exc:
             return _error(exc)
     try:
@@ -278,6 +282,8 @@ def main(argv=None) -> int:
     # custom: on another grid, ce1 at d = 1; a quad_tol no rule reaches; past the dense cap
     except (potentials.GridMismatchError, fracpow.QuadratureBuildError,
             semigroup.DenseCapError) as exc:
+        for q in made:  # bad input leaves no out directory behind
+            q.rmdir()
         return _error(exc)
 
 

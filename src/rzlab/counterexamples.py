@@ -17,8 +17,9 @@ Three constructions certify that boundedness fails outside 1 < p <= 2:
 Every scan runs in ambient dimension AMBIENT_D = 3 and is named in
 :data:`SCANS`.  Scans 1 and 2 run on grids fine enough that the smallest
 cutoff stays above four cells; scan 3 is a pure radial quadrature.  The
-series itself is validated separately: a local finite-difference
-Laplacian applied to the sampled v must cancel V v away from the axis.
+series itself is validated separately (:func:`ce1_residual`): on a 2D
+section of the singular plane, a local finite-difference Laplacian
+applied to the sampled v must cancel V v away from the axis.
 """
 
 from __future__ import annotations
@@ -82,108 +83,22 @@ def axial_series(r: np.ndarray, eps: float):
     return v, g, m
 
 
-def cutoff_profile(s: np.ndarray):
-    """C^2 radial cutoff: 1 for s <= 1, 0 for s >= 2, quintic blend between.
+def ce1_residual(grid: GridSpec, eps: float) -> dict:
+    """Relative residual of (-Delta + V) v away from the axis, and min v.
 
-    Returns (phi, dphi, ddphi) as functions of the radius s.
+    The series depends only on the two singular-plane coordinates, so it
+    is sampled on the grid's 2D section, where the residual is evaluated
+    with a sixth-order local Laplacian.  Excluded: a 4h tube around the
+    axis (capping region) and three cells at the box folds, where the
+    periodic continuation of the non-periodic solution has a kink.
     """
-    s = np.asarray(s, dtype=float)
-    w = np.clip(s - 1.0, 0.0, 1.0)
-    smooth = 6 * w**5 - 15 * w**4 + 10 * w**3
-    dsm = 30 * w**2 * (w - 1.0) ** 2
-    ddsm = 60 * w * (2 * w - 1.0) * (w - 1.0)
-    phi = 1.0 - smooth
-    dphi = np.where((s > 1.0) & (s < 2.0), -dsm, 0.0)
-    ddphi = np.where((s > 1.0) & (s < 2.0), -ddsm, 0.0)
-    return phi, dphi, ddphi
-
-
-@dataclass(frozen=True, eq=False)
-class CE1Data:
-    """Sampled counterexample-1 construction on a d >= 3 grid.
-
-    Points exactly on the singular axis carry the capped potential and the
-    odd-symmetry value 0 for the first derivative.
-    """
-
-    grid: GridSpec
-    eps: float
-    p: float
-    V: Field
-    v: Field
-    u: Field
-    g: Field
-    du1: Field
-    series_terms: int
-
-
-def ce1_build(grid: GridSpec, eps: float, p: float) -> CE1Data:
-    if grid.d < 3:
-        raise ValueError("counterexample 1 needs d >= 3")
-    if not p > 2:
-        raise ValueError(f"need p > 2, got {p}")
-    if not 0 < eps < 1.0 - 2.0 / p:
-        raise ValueError(f"eps must lie in (0, {1.0 - 2.0 / p:g}), got {eps}")
-    if grid.R <= 2.0:
-        raise ValueError("box must contain the support |x| <= 2 of the cutoff")
-
-    ax = grid.axis()
-    x1, x2 = np.meshgrid(ax, ax, indexing="ij")
-    r = np.sqrt(x1**2 + x2**2)
-    v2, g2, terms = axial_series(r, eps)
-
-    trailing = (1,) * (grid.d - 2)
-    v = np.broadcast_to(v2.reshape(v2.shape + trailing), grid.shape).copy()
-
-    pts = np.stack(grid.mesh(), axis=-1)
-    s = np.sqrt((pts**2).sum(axis=-1))
-    phi, dphi, ddphi = cutoff_profile(s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lap_phi = ddphi + np.where(s > 0, dphi * (grid.d - 1) / s, 0.0)
-        grad_dot = np.where(
-            s > 0,
-            dphi / s * np.broadcast_to(g2.reshape(g2.shape + trailing), grid.shape),
-            0.0,
-        )
-    g_field = -v * lap_phi - 2.0 * grad_dot
-
-    # d/dx1 of the series: x1 * r^-2 * G(r); 0 on the axis by odd symmetry.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dv1_2 = np.where(r > 0, x1 * g2 / r**2, 0.0)
-    dv1 = np.broadcast_to(dv1_2.reshape(dv1_2.shape + trailing), grid.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dphi1 = np.where(s > 0, dphi * pts[..., 0] / s, 0.0)
-    du1 = phi * dv1 + v * dphi1
-
-    V = potentials.discretize_potential(potentials.ce1(eps), grid, cap="auto")
-    return CE1Data(
-        grid=grid,
-        eps=eps,
-        p=p,
-        V=V,
-        v=Field(grid, v),
-        u=Field(grid, phi * v),
-        g=Field(grid, g_field),
-        du1=Field(grid, du1),
-        series_terms=terms,
-    )
-
-
-def ce1_residual(data: CE1Data) -> dict:
-    """Relative residual of (-Delta + V) v away from the axis.
-
-    The series depends only on the two singular-plane coordinates, so the
-    residual is evaluated on that 2D section with a fourth-order local
-    Laplacian.  Excluded: a 4h tube around the axis (capping region) and
-    two cells at the box folds, where the periodic continuation of the
-    non-periodic solution has a kink.
-    """
-    grid = data.grid
+    if not 0 < eps < 1:
+        raise ValueError(f"CE1 exponent eps must lie in (0, 1), got {eps}")
     n, h = grid.n, grid.h
     ax = grid.axis()
     x1, x2 = np.meshgrid(ax, ax, indexing="ij")
     r = np.sqrt(x1**2 + x2**2)
-    v2, _, _ = axial_series(r, data.eps)
+    v2, _, _ = axial_series(r, eps)
 
     # 6th-order 7-point second difference: near the 4h cutoff the relative
     # truncation error is resolution-independent, so stencil order is what
@@ -195,7 +110,7 @@ def ce1_residual(data: CE1Data) -> dict:
 
     lap = dxx(v2, 0) + dxx(v2, 1)
     with np.errstate(divide="ignore"):
-        Vv = np.where(r > 0, r ** (data.eps - 2.0), np.inf) * v2
+        Vv = np.where(r > 0, r ** (eps - 2.0), np.inf) * v2
     residual = np.abs(-lap + Vv)
 
     interior = np.zeros(n, dtype=bool)
@@ -207,6 +122,7 @@ def ce1_residual(data: CE1Data) -> dict:
         "scale": denom,
         "relative": float(np.max(residual[region])) / denom,
         "points": int(region.sum()),
+        "v_min": float(v2.min()),
     }
 
 
@@ -347,6 +263,8 @@ def ce2_scan(p: float, deltas=None) -> ScanReport:
         deltas = 2.0 ** (-np.arange(3, 11, dtype=float))
     profile = GridSpec(1, CE2_PROFILE_N, 1.0)
     deltas = _check_deltas(deltas, profile.h)
+    if deltas[0] >= 1.0:
+        raise ValueError("deltas must stay below the profile's support radius 1")
 
     x = profile.axis()
     slice_vol = unit_ball_volume(AMBIENT_D - 1) * np.maximum(0.0, 1.0 - x**2) ** (
@@ -400,6 +318,8 @@ def ce3_scan(rhos=None) -> ScanReport:
     rhos = np.asarray(rhos, dtype=float)
     if not np.all(np.diff(rhos) > 0):
         raise ValueError("radii must be strictly increasing")
+    if not (np.all(np.isfinite(rhos)) and rhos[0] >= CE3_INNER_RADIUS):
+        raise ValueError(f"radii must be finite and at least the inner radius {CE3_INNER_RADIUS:g}")
     values = np.array([ce3_tail(rho) for rho in rhos])
     lnln = np.log(np.log(rhos))
     area = unit_sphere_area(AMBIENT_D)
@@ -460,8 +380,6 @@ class GreenBoundReport:
     """
 
     sup_truncated: float
-    per_point: tuple[float, ...]
-    radius_cap: float
     tail_bound: float
     divergent: bool
 
@@ -507,8 +425,6 @@ def green_bounded_check(
         tail = sup2 - sup1
     return GreenBoundReport(
         sup_truncated=sup1,
-        per_point=tuple(vals),
-        radius_cap=radius_cap,
         tail_bound=tail,
         divergent=divergent,
     )

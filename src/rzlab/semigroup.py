@@ -234,8 +234,8 @@ def orbit_columns(V: Field) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     columns with every k_a <= n/2 are then one per orbit of the 2^d
     reflections, and a column's share of its orbit is 1/|stabilizer|: a
     column with k_a in {0, n/2} is its own mirror along a, which halves
-    its share.  A scan folds what it reads over the returned axes, that is
-    over the 2^d axis flips of the grid.  Any other V gives every column,
+    its share.  A scan that needs it folds what it reads over the returned
+    axes, that is over the 2^d axis flips of the grid.  Any other V gives every column,
     each with share 1, and no axis to fold.
     """
     grid = V.spec
@@ -517,6 +517,10 @@ def fk_kernel_estimate(
     out[..., 0] = [heat_kernel_free(x, y, t) for x, y, t, _, _ in ends]
     live = [i for i, spec in enumerate(specs) if spec.tag != "zero"]
     d = len(ends[0][0]) if ends else 1
+    for spec in specs:
+        if spec.tag == "custom" and ends and spec.field.spec.d != d:
+            raise ValueError(f"custom potential is a d = {spec.field.spec.d} field, "
+                             f"the endpoints have d = {d}")
     rows = max(1, FK_BLOCK_ELEMENTS // ((slices + 1) * d))
     sums = np.zeros_like(out)
     for ci, start in enumerate(range(0, paths if live else 0, FK_CHUNK)):

@@ -7,9 +7,10 @@ xi = (pi/R) * k per axis, k integer in [-n/2, n/2).
 
 :func:`apply_symbol_stack` is the one FFT multiplier, on real stacks: it
 takes a catalog spec (or a tuple of them, one per output component), looks
-up that spec's cached half spectrum and runs only real-to-complex
-transforms over the field axes.  How a symbol is stored is known here
-alone.  :func:`apply_multiplier` is that call on one field.
+up that spec's cached half spectrum, the rfftn half of an exactly
+Hermitian symbol, and runs only real-to-complex transforms over the field
+axes.  How a symbol is stored is known here alone.  :func:`apply_multiplier`
+is that call on one field.
 
 Conventions: negative powers and Riesz multipliers send the mean mode to
 zero.  Odd symbols (Deriv, Riesz) also vanish on their axis Nyquist plane
@@ -104,18 +105,15 @@ def riesz(axis: int) -> MultiplierSpec:
 
 @lru_cache(maxsize=256)
 def _half_spectrum(m: MultiplierSpec | tuple[MultiplierSpec, ...], spec: GridSpec) -> np.ndarray:
-    """(m(xi) + conj m(-xi))/2 on the rfftn half spectrum, stacked over a tuple.
+    """m(xi) on the rfftn half spectrum, stacked over a tuple.
 
-    A real field has a Hermitian spectrum, so this part of a symbol maps it
-    to the real part of the full complex transform.  Every catalog symbol
-    is exactly Hermitian on the grid, so the part is the symbol itself.
+    Every catalog symbol is exactly Hermitian on the grid, m(-xi) =
+    conj m(xi), so its product with a real field's Hermitian spectrum is
+    the spectrum of a real field, and the half spectrum determines it.
     """
     sym = np.stack([x.symbol(spec) for x in m]) if isinstance(m, tuple) else m.symbol(spec)
-    mirror = np.conj(sym)  # conj m(-xi): index k -> -k mod n on each field axis
-    for a in range(sym.ndim - spec.d, sym.ndim):
-        mirror = mirror.take(-np.arange(spec.n) % spec.n, axis=a)
     # a copy, so that the cache does not keep the whole spectrum alive
-    half = np.ascontiguousarray((0.5 * (sym + mirror))[..., : spec.n // 2 + 1])
+    half = np.ascontiguousarray(sym[..., : spec.n // 2 + 1])
     half.setflags(write=False)
     return half
 

@@ -82,6 +82,10 @@ def test_scan_choices_are_the_scan_table():
     ("CE1", "0.1,0.2"),  # not decreasing
     ("CE1", "0.1,abc"),  # not a number
     ("CE2", "0.5,1e-9"),  # below 4h
+    ("CE2", "4,2,0.1"),  # outside the profile's support [-1, 1)
+    ("CE3", "10,100"),  # inside the inner radius 100
+    ("CE3", "0.5,2,3"),
+    ("CE3", "1e3,1e6,inf"),
 ])
 def test_scan_bad_deltas_exit_2_with_one_line(which, deltas, capsys):
     rc = run_cli("scan", which, "--deltas", deltas)
@@ -177,6 +181,37 @@ def test_kernel_bad_input_exit_2_with_one_line(argv, capsys):
     assert rc == 2
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("rzlab: error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("field_d, argv, names", [
+    (None, (), "No such file"),
+    (1, ("--x", "0,0", "--y", "0,0"), "d = 1 field, the endpoints have d = 2"),
+    (2, (), "d = 2 field, the endpoints have d = 1"),
+], ids=["missing-file", "d1-field-2d-endpoints", "d2-field-1d-endpoints"])
+def test_kernel_custom_field_exits_2_with_one_line(field_d, argv, names, tmp_path, capsys):
+    path = tmp_path / "V.rzf"
+    if field_d is not None:
+        g = GridSpec(field_d, 16, 4.0)
+        write_field(Field(g, np.ones(g.shape)), path)
+    rc = run_cli("kernel", "--fk", "--potential", f"custom:{path}", "--paths", "100", *argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("rzlab: error: ")
+    assert names in captured.err and captured.out == ""
+
+
+def test_check_bad_out_exits_2_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("")
+
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "run_check", no_check)
+    rc = run_cli("check", "CE3", "--out", str(tmp_path / "file" / "sub"))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("rzlab: error: ")
+    assert "Not a directory" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("action, content, flags", [

@@ -44,49 +44,23 @@ def test_series_leading_term_dominates_deep_down():
     assert g[0] == pytest.approx(leading, rel=1e-2)
 
 
-def test_cutoff_profile_shape():
-    s = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
-    phi, dphi, ddphi = ce.cutoff_profile(s)
-    np.testing.assert_allclose(phi[:3], 1.0)
-    np.testing.assert_allclose(phi[4:], 0.0)
-    assert 0 < phi[3] < 1
-    assert dphi[3] < 0
-    np.testing.assert_allclose(dphi[[0, 1, 2, 4, 5]], 0.0)
-    np.testing.assert_allclose(ddphi[[0, 1, 2, 4, 5]], 0.0)
-
-
 @pytest.fixture(scope="module")
-def ce1_data():
-    return ce.ce1_build(GridSpec(3, 32, 2.5), 0.25, 4.0)
+def ce1_residual():
+    return ce.ce1_residual(GridSpec(3, 32, 2.5), 0.25)
 
 
-def test_ce1_v_at_least_one(ce1_data):
-    assert ce1_data.v.values.min() >= 1.0
+def test_ce1_v_at_least_one(ce1_residual):
+    assert ce1_residual["v_min"] >= 1.0
 
 
-def test_ce1_harmonicity_residual(ce1_data):
-    res = ce.ce1_residual(ce1_data)
-    assert res["relative"] <= 1e-3
+def test_ce1_harmonicity_residual(ce1_residual):
+    assert ce1_residual["relative"] <= 1e-3
 
 
-def test_ce1_g_supported_in_annulus(ce1_data):
-    g = ce1_data.grid
-    pts = np.stack(g.mesh(), axis=-1)
-    s = np.sqrt((pts**2).sum(axis=-1))
-    outside = (s < 1.0 - 1e-9) | (s > 2.0 + 1e-9)
-    assert np.max(np.abs(ce1_data.g.values[outside])) <= 1e-10
-
-
-def test_ce1_build_validation():
-    g = GridSpec(3, 16, 2.5)
-    with pytest.raises(ValueError, match="eps"):
-        ce.ce1_build(g, 0.6, 4.0)  # 0.6 > 1 - 2/4
-    with pytest.raises(ValueError, match="p > 2"):
-        ce.ce1_build(g, 0.25, 1.5)
-    with pytest.raises(ValueError, match="d >= 3"):
-        ce.ce1_build(GridSpec(2, 16, 2.5), 0.25, 4.0)
-    with pytest.raises(ValueError, match="support"):
-        ce.ce1_build(GridSpec(3, 16, 1.5), 0.25, 4.0)
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.25, math.nan, math.inf])
+def test_ce1_residual_validation(eps):
+    with pytest.raises(ValueError, match="eps must lie in"):
+        ce.ce1_residual(GridSpec(3, 16, 2.5), eps)
 
 
 def test_ce1_scan_slopes():
@@ -220,6 +194,18 @@ def test_ce2_lower_bound_field_structure():
     pts = np.stack(f.spec.mesh(), axis=-1)
     outside = (pts**2).sum(axis=-1) >= 1.0
     assert np.max(f.values[outside]) == 0.0
+
+
+@pytest.mark.parametrize("deltas", [(4.0, 2.0, 0.1), (1.0, 0.5, 0.1)])
+def test_ce2_scan_rejects_cutoffs_outside_the_profile(deltas):
+    with pytest.raises(ValueError, match="below the profile's support radius 1"):
+        ce.ce2_scan(4.0, deltas)
+
+
+@pytest.mark.parametrize("rhos", [(10.0, 100.0), (0.5, 2.0, 3.0), (1e3, 1e6, math.inf)])
+def test_ce3_scan_rejects_radii_outside_the_tail(rhos):
+    with pytest.raises(ValueError, match="finite and at least the inner radius 100"):
+        ce.ce3_scan(rhos)
 
 
 def test_ce3_scan_lnln_increments():
