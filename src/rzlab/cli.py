@@ -145,10 +145,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    if not args.fk:
-        print("only the Feynman-Kac estimator is available; pass --fk", file=sys.stderr)
-        return 2
     try:
+        if not args.fk:
+            raise ValueError("only the Feynman-Kac estimator is available; pass --fk")
         pot = verify.parse_potential(args.potential)
         x = [float(v) for v in args.x.split(",")]
         y = [float(v) for v in args.y.split(",")]
@@ -166,15 +165,13 @@ def cmd_kernel(args) -> int:
 def cmd_field(args) -> int:
     try:
         return _field_dump(args) if args.action == "dump" else _field_load(args)
-    except ValueError as exc:  # not RZF1, a bad header or a non-numeric value
+    # OSError: a missing input file; ValueError: not RZF1, a bad header or a bad value
+    except (ValueError, OSError) as exc:
         return _error(exc)
 
 
 def _field_dump(args) -> int:
     src = Path(args.path)
-    if not src.exists():
-        print(f"no such field file: {src}", file=sys.stderr)
-        return 1
     f = read_field(src)
     out = Path(args.out) if args.out else src.with_suffix(".csv")
     with open(out, "w", newline="") as fh:
@@ -190,9 +187,6 @@ def _field_dump(args) -> int:
 
 def _field_load(args) -> int:
     src = Path(args.path)
-    if not src.exists():
-        print(f"no such csv file: {src}", file=sys.stderr)
-        return 1
     header = src.read_text().splitlines()
     spec = None
     if header and header[0].startswith("# RZF1"):
@@ -204,13 +198,11 @@ def _field_load(args) -> int:
     elif args.d and args.n and args.R:
         spec = GridSpec(args.d, args.n, args.R)
     else:
-        print("csv lacks the RZF1 header; pass --d --n --R", file=sys.stderr)
-        return 2
+        raise ValueError("csv lacks the RZF1 header; pass --d --n --R")
     rows = [r for r in header if r and not r.startswith("#")]
     values = [float(r.rsplit(",", 1)[-1]) for r in rows[1:]]
     if len(values) != spec.num_points:
-        print(f"csv has {len(values)} values, grid needs {spec.num_points}", file=sys.stderr)
-        return 1
+        raise ValueError(f"csv has {len(values)} values, grid needs {spec.num_points}")
     out = Path(args.out) if args.out else src.with_suffix(".rzf")
     write_field(Field(spec, np.array(values).reshape(spec.shape)), out)
     print(f"wrote {out}")

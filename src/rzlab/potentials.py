@@ -29,10 +29,10 @@ class SingularPotentialError(ValueError):
 
 
 class GridMismatchError(ValueError):
-    """A potential cannot be sampled on the grid asked for.
+    """A potential cannot be sampled on the grid or at the points asked for.
 
-    A custom potential's samples lie on another grid, or ce1 is asked for
-    at d = 1.
+    A custom potential's samples lie on another grid or in another
+    dimension, or ce1 is asked for at d = 1.
     """
 
 
@@ -176,6 +176,18 @@ def auto_cap(spec: PotentialSpec, grid: GridSpec) -> float:
     return math.inf
 
 
+def check_dimension(spec: PotentialSpec, d: int, need: str) -> None:
+    """Raise :class:`GridMismatchError` unless spec can be evaluated at d-dimensional points.
+
+    ce1 reads two coordinates, so it needs d >= 2; a custom field only has
+    samples at its own d.  ``need`` names what asks for d, for the message.
+    """
+    if spec.tag == "ce1" and d < 2:
+        raise GridMismatchError(f"ce1 needs d >= 2, {need}")
+    if spec.tag == "custom" and spec.field.spec.d != d:
+        raise GridMismatchError(f"custom potential is a d = {spec.field.spec.d} field, {need}")
+
+
 def discretize_potential(spec: PotentialSpec, grid: GridSpec, cap="auto") -> Field:
     """Sample min(V, cap) on the grid; singular points get the cap value."""
     if cap == "auto":
@@ -184,14 +196,13 @@ def discretize_potential(spec: PotentialSpec, grid: GridSpec, cap="auto") -> Fie
         cap_value = float(cap)
         if not cap_value > 0:
             raise ValueError(f"cap must be positive, got {cap}")
-    if spec.tag == "ce1" and grid.d < 2:
-        raise GridMismatchError(f"ce1 needs d >= 2, the check needs {grid}")
     if spec.tag == "custom":
         if spec.field.spec != grid:
             raise GridMismatchError(
                 f"custom potential is sampled on {spec.field.spec}, the check needs {grid}"
             )
         return Field(grid, np.minimum(spec.field.values, cap_value))
+    check_dimension(spec, grid.d, f"the check needs {grid}")
     pts = np.stack(grid.mesh(), axis=-1)
     vals = eval_capped(spec, pts, cap_value)
     if not np.all(np.isfinite(vals)):

@@ -30,20 +30,19 @@ from .grid import Field, GridSpec
 class RieszResult:
     components: np.ndarray  # (batch, d, *grid shape)
     magnitude: np.ndarray  # (batch, *grid shape): pointwise l2 norm of the components
-    route: str
     companion: np.ndarray | None = None  # g = sqrt(-Delta) L^(-1/2) f on the factored route
 
 
 ROUTES = ("direct", "factored")
 
 
-def _vector(stack: np.ndarray, grid: GridSpec, multiplier, route: str,
+def _vector(stack: np.ndarray, grid: GridSpec, multiplier,
             companion: np.ndarray | None = None) -> RieszResult:
     """multiplier(j), j = 1..d, applied to each field, with the l2 magnitude."""
     vector = tuple(multiplier(j) for j in range(1, grid.d + 1))
     comps = spectral.apply_symbol_stack(stack[:, None], vector, grid)
     return RieszResult(components=comps, magnitude=np.sqrt((comps**2).sum(axis=1)),
-                       route=route, companion=companion)
+                       companion=companion)
 
 
 def factor_from_inv_sqrt(half: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -57,14 +56,14 @@ def riesz_from_inv_sqrt(half: np.ndarray, grid: GridSpec, *,
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if route == "direct":
-        return _vector(half, grid, spectral.derivative, route)
+        return _vector(half, grid, spectral.derivative)
     g = factor_from_inv_sqrt(half, grid)
-    return _vector(g, grid, spectral.riesz, route, companion=g)
+    return _vector(g, grid, spectral.riesz, companion=g)
 
 
 def classical_riesz(stack: np.ndarray, grid: GridSpec) -> RieszResult:
     """Classical Riesz vectors (V = 0 multipliers) of a stack, with magnitudes."""
-    return _vector(stack, grid, spectral.riesz, "classical")
+    return _vector(stack, grid, spectral.riesz)
 
 
 def schrodinger_riesz(f: Field, V: Field, *, route: str = "factored") -> RieszResult:

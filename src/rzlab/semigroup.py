@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable, Sequence
@@ -285,70 +284,6 @@ def _parity_sectors(grid: GridSpec, V: np.ndarray) -> list[tuple[np.ndarray, np.
     return sectors
 
 
-class _Slot(threading.Event):
-    """A build's value or exception, set once and awaited by other threads."""
-
-    value = error = None
-
-    def result(self):
-        self.wait()
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-class SingleFlightCache:
-    """Bounded least-recently-used cache that builds each missing key once.
-
-    A thread that misses installs a slot under the key and builds the
-    value; threads asking for the same key meanwhile wait on that slot
-    instead of building it again.  Only finished entries are evicted, so
-    the cache exceeds ``limit`` while more builds than that are in flight.
-    A failed build is dropped from the cache and re-raised in every
-    waiting thread.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self._lock = threading.Lock()
-        self._entries: dict = {}
-
-    def get(self, key, build: Callable[[], object]):
-        with self._lock:
-            slot = self._entries.pop(key, None)
-            owner = slot is None
-            if owner:
-                done = [k for k, s in self._entries.items() if s.is_set()]
-                for k in done[: max(0, len(self._entries) + 1 - self.limit)]:
-                    del self._entries[k]
-                slot = _Slot()
-            self._entries[key] = slot
-        if owner:
-            try:
-                slot.value = build()
-            except BaseException as exc:
-                with self._lock:
-                    if self._entries.get(key) is slot:
-                        del self._entries[key]
-                slot.error = exc
-                raise
-            finally:
-                slot.set()
-        return slot.result()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-# Four entries keep THEOREM's and VHALF's keys resident: they ask for
-# d = 1, 2, 3 in turn with WEAK11's finer d = 2 grid in between.  They do not
-# hold the core suite's catalog: L2_CONTRACT, L1_BOUND and INTERP each cycle
-# the six d = 2 catalog keys, so the three non-separable order-256 operators
-# are factored three times each, as four parity sectors of order <= 81 that
-# take milliseconds.  W_KERNEL's sector factors take about 2 MB per operator.
-_DENSE_CACHE = SingleFlightCache(limit=4)
-
-
 def dense_schrodinger(V: Field) -> DenseOperator:
     """Exact discrete L = -Delta + diag(V) with its eigendecomposition.
 
@@ -360,18 +295,24 @@ def dense_schrodinger(V: Field) -> DenseOperator:
     diagonal in the parity basis on each axis and each of its 2^d sectors,
     of order at most (n/2 + 1)^d, is factored alone.  Any other V has its
     assembled N x N matrix factored whole, as one block on the grid
-    coordinates.  Decompositions are cached on (grid,
-    potential samples), and concurrent callers of one key share a single
-    factorization: the d = 3 oracle at the cap takes seconds to factor.
-    Past the cap it raises :class:`DenseCapError`.
+    coordinates.  Decompositions are cached on (grid, potential samples),
+    the last few in a least-recently-used cache; a failed build is not
+    cached.  Past the cap it raises :class:`DenseCapError`.
     """
     _check_potential(V)
     _check_dense_cap(V.spec)
-    return _DENSE_CACHE.get((V.spec, V.values.tobytes()), lambda: _factor(V))
+    return _factor(V.spec, V.values.tobytes())
 
 
-def _factor(V: Field) -> DenseOperator:
-    grid = V.spec
+# Four entries keep THEOREM's and VHALF's keys resident: they ask for
+# d = 1, 2, 3 in turn with WEAK11's finer d = 2 grid in between.  They do not
+# hold the core suite's catalog: L2_CONTRACT, L1_BOUND and INTERP each cycle
+# the six d = 2 catalog keys, so the three non-separable order-256 operators
+# are factored three times each, as four parity sectors of order <= 81 that
+# take milliseconds.  W_KERNEL's sector factors take about 2 MB per operator.
+@lru_cache(maxsize=4)
+def _factor(grid: GridSpec, samples: bytes) -> DenseOperator:
+    V = Field(grid, np.frombuffer(samples))
     parts = _separable_parts(V) if grid.d > 1 else None
     if parts is not None:
         line = GridSpec(1, grid.n, grid.R)
@@ -517,10 +458,8 @@ def fk_kernel_estimate(
     out[..., 0] = [heat_kernel_free(x, y, t) for x, y, t, _, _ in ends]
     live = [i for i, spec in enumerate(specs) if spec.tag != "zero"]
     d = len(ends[0][0]) if ends else 1
-    for spec in specs:
-        if spec.tag == "custom" and ends and spec.field.spec.d != d:
-            raise ValueError(f"custom potential is a d = {spec.field.spec.d} field, "
-                             f"the endpoints have d = {d}")
+    for spec in specs if ends else ():
+        potentials.check_dimension(spec, d, f"the endpoints have d = {d}")
     rows = max(1, FK_BLOCK_ELEMENTS // ((slices + 1) * d))
     sums = np.zeros_like(out)
     for ci, start in enumerate(range(0, paths if live else 0, FK_CHUNK)):

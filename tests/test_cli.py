@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -86,12 +87,18 @@ def test_scan_choices_are_the_scan_table():
     ("CE3", "10,100"),  # inside the inner radius 100
     ("CE3", "0.5,2,3"),
     ("CE3", "1e3,1e6,inf"),
+    ("CE3", "1000"),  # too few points to judge a fit
+    ("CE1", "0.1"),
+    ("CE2", "0.5,0.25"),  # two points fit any line with r2 = 1
 ])
 def test_scan_bad_deltas_exit_2_with_one_line(which, deltas, capsys):
-    rc = run_cli("scan", which, "--deltas", deltas)
-    err = capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli("scan", which, "--deltas", deltas)
+    captured = capsys.readouterr()
     assert rc == 2
-    assert len(err.splitlines()) == 1 and err.startswith("rzlab: error: ")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("rzlab: error: ")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -174,6 +181,7 @@ def test_kernel_fk_runs(capsys):
     ("--slices", "0"),
     ("--x", "nan"),
     ("--t", "inf"),
+    ("--potential", "ce1", "--x", "0", "--y", "0"),  # ce1 reads two coordinates
 ])
 def test_kernel_bad_input_exit_2_with_one_line(argv, capsys):
     rc = run_cli("kernel", "--fk", *argv)
@@ -219,15 +227,20 @@ def test_check_bad_out_exits_2_before_any_check_runs(tmp_path, capsys, monkeypat
     ("load", "# RZF1 d=1 n=5 R=4.0\nx1,value\n" + "0,1.0\n" * 5, ()),
     ("dump", "x1,value\n0,1.0\n", ()),  # not an RZF1 file
     ("load", "# RZF1 d=1 n=16\nx1,value\n" + "0,1.0\n" * 16, ()),
-], ids=["non-numeric", "odd-n-header", "not-rzf1", "header-lacks-R"])
+    ("load", None, ()),
+    ("load", "x1,value\n" + "0,1.0\n" * 15, ("--d", "1", "--n", "16", "--R", "4")),
+    ("load", "x1,value\n" + "0,1.0\n" * 16, ()),
+], ids=["non-numeric", "odd-n-header", "not-rzf1", "header-lacks-R", "load-missing-file",
+        "wrong-value-count", "no-header-no-grid"])
 def test_field_bad_input_exit_2_with_one_line(action, content, flags, tmp_path, capsys):
     src = tmp_path / "in.dat"
-    src.write_text(content)
+    if content is not None:
+        src.write_text(content)
     rc = run_cli("field", action, str(src), "--out", str(tmp_path / "out"), *flags)
     captured = capsys.readouterr()
     assert rc == 2
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("rzlab: error: ")
-    assert not (tmp_path / "out").exists()
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_field_dump_and_load_roundtrip(tmp_path):
@@ -249,8 +262,10 @@ def test_field_dump_and_load_roundtrip(tmp_path):
 
 def test_field_dump_missing_file(tmp_path, capsys):
     rc = run_cli("field", "dump", str(tmp_path / "missing.rzf"))
-    assert rc != 0
-    assert "missing.rzf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("rzlab: error: ")
+    assert "missing.rzf" in err
 
 
 def test_unknown_flag_exits_nonzero():
@@ -266,8 +281,9 @@ def test_unknown_check_id_rejected():
 
 def test_kernel_without_fk_flag(capsys):
     rc = run_cli("kernel")
+    err = capsys.readouterr().err
     assert rc == 2
-    assert "--fk" in capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("rzlab: error: ") and "--fk" in err
 
 
 def test_custom_potential_through_check(tmp_path):

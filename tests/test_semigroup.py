@@ -1,13 +1,11 @@
 import dataclasses
+import functools
 import math
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from rzlab import potentials, semigroup, spectral
+from rzlab import potentials, semigroup, spectral, verify
 from rzlab.grid import Field, GridSpec
 
 
@@ -421,121 +419,35 @@ def test_apply_function_equals_matrix_function(pot):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-def test_dense_cache_miss_is_single_flight(monkeypatch):
-    g = GridSpec(1, 32, 4.0)
-    V = Field(g, np.random.default_rng(20261018).uniform(0.0, 2.0, g.shape))
-    calls = []
-    real_eigh = np.linalg.eigh
+def test_dense_cache_bounded_and_drops_failures(monkeypatch):
+    g = GridSpec(1, 16, 4.0)
+    V = Field(g, np.random.default_rng(20261020).uniform(0.0, 2.0, g.shape))
+    semigroup._factor.cache_clear()
 
-    def slow_eigh(a, *args, **kwargs):
-        calls.append(a.shape)
-        time.sleep(0.2)
-        return real_eigh(a, *args, **kwargs)
+    def failing_eigh(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("boom")
 
-    monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
-    workers = 4
-    barrier = threading.Barrier(workers)
-    ops = []
-
-    def worker():
-        barrier.wait(timeout=5)
-        ops.append(semigroup.dense_schrodinger(V))
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads)
-    assert calls == [(32, 32)]
-    assert len(ops) == workers and all(op is ops[0] for op in ops)
-
-
-def test_single_flight_cache_bounded_and_drops_failures():
-    cache = semigroup.SingleFlightCache(limit=2)
-    for key in "abc":
-        assert cache.get(key, lambda key=key: key.upper()) == key.upper()
-    assert len(cache) == 2
-    assert cache.get("a", lambda: "rebuilt") == "rebuilt"  # least recently used
-    assert cache.get("c", lambda: "rebuilt") == "C"
-
-    def fail():
-        raise RuntimeError("boom")
-
-    with pytest.raises(RuntimeError, match="boom"):
-        cache.get("x", fail)
-    assert cache.get("x", lambda: "ok") == "ok"
-
-
-def test_failed_build_is_raised_in_the_waiting_thread():
-    cache = semigroup.SingleFlightCache(limit=2)
-    started, release = threading.Event(), threading.Event()
-    errors = []
-
-    def fail():
-        started.set()
-        release.wait(timeout=5)
-        raise RuntimeError("boom")
-
-    def call():
-        try:
-            cache.get("k", fail)
-        except RuntimeError as exc:
-            errors.append(str(exc))
-
-    owner = threading.Thread(target=call)
-    owner.start()
-    assert started.wait(timeout=5)
-    waiter = threading.Thread(target=call)
-    waiter.start()
-    time.sleep(0.05)
-    release.set()
-    owner.join(timeout=5)
-    waiter.join(timeout=5)
-    assert not owner.is_alive() and not waiter.is_alive()
-    assert errors == ["boom", "boom"] and len(cache) == 0
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(np.linalg.LinAlgError, match="boom"):
+            semigroup.dense_schrodinger(V)
+    assert semigroup._factor.cache_info().currsize == 0
+    op = semigroup.dense_schrodinger(V)  # the failed build was not cached
+    assert semigroup.dense_schrodinger(V) is op
+    assert semigroup._factor.cache_info()[:2] == (1, 2)  # hits, misses
+    verify.run_suite("core", verify.RunConfig())
+    info = semigroup._factor.cache_info()
+    assert info.maxsize == 4 and info.currsize <= 4 < info.misses
 
 
 def test_dense_cache_holds_core_suite_keys():
     # Dense keys of the core suite from THEOREM on: d = 1, 2, 3, then
     # WEAK11 at n and 2n on d = 2, then VHALF at d = 1, 2, 3.
-    cache = semigroup.SingleFlightCache(limit=semigroup._DENSE_CACHE.limit)
     builds = []
+    build = functools.lru_cache(maxsize=semigroup._factor.cache_info().maxsize)(builds.append)
     for key in ["catalog", "d1", "d2", "d3", "d2", "d2n32", "d1", "d2", "d3"]:
-        cache.get(key, lambda key=key: builds.append(key))
+        build(key)
     assert builds == ["catalog", "d1", "d2", "d3", "d2n32"]
-
-
-def test_pending_build_is_not_evicted():
-    cache = semigroup.SingleFlightCache(limit=2)
-    builds = []
-    started, release = threading.Event(), threading.Event()
-
-    def slow():
-        builds.append("slow")
-        started.set()
-        release.wait(timeout=5)
-        return "S"
-
-    results = []
-    owner = threading.Thread(target=lambda: results.append(cache.get("slow", slow)))
-    owner.start()
-    assert started.wait(timeout=5)
-    for key in "abcd":
-        cache.get(key, lambda key=key: builds.append(key) or key)
-    waiter = threading.Thread(target=lambda: results.append(cache.get("slow", slow)))
-    waiter.start()
-    time.sleep(0.05)
-    release.set()
-    owner.join(timeout=5)
-    waiter.join(timeout=5)
-    assert results == ["S", "S"]
-    assert builds == ["slow", "a", "b", "c", "d"]
 
 
 def test_dense_semigroup_is_splitting_limit(g1):

@@ -273,17 +273,13 @@ def test_composition_reads_its_matrices_in_column_blocks():
     assert peak < 16 * 2**20
 
 
-def test_core_reports_do_not_depend_on_concurrent_callers(monkeypatch):
+def test_core_reports_do_not_depend_on_concurrent_callers():
     # Two callers on a cold dense cache race for the same operators.
-    def cold_cache():
-        limit = semigroup._DENSE_CACHE.limit
-        monkeypatch.setattr(semigroup, "_DENSE_CACHE", semigroup.SingleFlightCache(limit))
-
     cfg = verify.RunConfig()
-    cold_cache()
+    semigroup._factor.cache_clear()
     with ThreadPoolExecutor(max_workers=2) as ex:
         two = list(ex.map(lambda cid: verify.run_check(cid, cfg), verify.CORE_CHECKS))
-    cold_cache()
+    semigroup._factor.cache_clear()
     one = verify.run_suite("core", cfg)
     assert [r.check_id for r in two] == list(verify.CORE_CHECKS)
     assert [r.to_dict(include_runtime=False) for r in two] == [
