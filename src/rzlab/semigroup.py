@@ -458,7 +458,7 @@ def fk_kernel_estimate(
     out[..., 0] = [heat_kernel_free(x, y, t) for x, y, t, _, _ in ends]
     live = [i for i, spec in enumerate(specs) if spec.tag != "zero"]
     d = len(ends[0][0]) if ends else 1
-    for spec in specs if ends else ():
+    for spec in specs if ends else ():  # no endpoints, no dimension to check
         potentials.check_dimension(spec, d, f"the endpoints have d = {d}")
     rows = max(1, FK_BLOCK_ELEMENTS // ((slices + 1) * d))
     sums = np.zeros_like(out)
