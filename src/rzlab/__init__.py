@@ -9,8 +9,8 @@ import os
 if not any(os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .grid import Field, GridSpec, lp_norm, read_field, sample, weak_l1, write_field
-from .potentials import PotentialSpec, discretize_potential, eval_potential
+from .grid import Field, GridSpec, lp_norm, read_field, weak_l1, write_field
+from .potentials import PotentialSpec, discretize_potential
 from .semigroup import DenseOperator, dense_schrodinger, fk_kernel_estimate
 from .fracpow import (
     TimeQuadrature,
@@ -28,11 +28,9 @@ __all__ = [
     "GridSpec",
     "lp_norm",
     "weak_l1",
-    "sample",
     "read_field",
     "write_field",
     "PotentialSpec",
-    "eval_potential",
     "discretize_potential",
     "DenseOperator",
     "dense_schrodinger",

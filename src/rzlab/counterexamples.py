@@ -132,19 +132,19 @@ class ScanReport:
     xs: np.ndarray
     values: np.ndarray
     fit_slope: float
-    fit_intercept: float
     fit_r2: float
     expected_slope: float | None
     verdict: str
     extras: dict = field(default_factory=dict)
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and r^2 of y against x."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), float(intercept), r2
+    return float(slope), r2
 
 
 # Two points fit any line with r^2 = 1, so a scan's fit needs a third to judge.
@@ -155,7 +155,7 @@ def _check_deltas(deltas, h: float) -> np.ndarray:
     deltas = np.asarray(deltas, dtype=float)
     if not np.all(np.diff(deltas) < 0):
         raise ValueError("deltas must be strictly decreasing")
-    if deltas[-1] < 4.0 * h:
+    if deltas.size and deltas[-1] < 4.0 * h:
         raise ValueError(
             f"smallest delta {deltas[-1]:g} is below 4h = {4 * h:g}; refine the grid"
         )
@@ -220,7 +220,7 @@ def ce1_scan(eps: float | tuple, p: float | tuple, deltas=None, *, section_n: in
     reports = []
     for (e, q), values in zip(pairs, nested_lp_norms(quadrant, p_t, deltas, disk_rows)):
         values = (2.0 * CE1_AMBIENT_R) ** ((AMBIENT_D - 2) / q) * values
-        slope, intercept, r2 = _linear_fit(np.log(deltas), np.log(values))
+        slope, r2 = _linear_fit(np.log(deltas), np.log(values))
         expected = e - 1.0 + 2.0 / q
         admissible = e < 1.0 - 2.0 / q
         if r2 < CE1_R2_THRESHOLD and admissible:
@@ -230,8 +230,8 @@ def ce1_scan(eps: float | tuple, p: float | tuple, deltas=None, *, section_n: in
         else:
             verdict = "pass" if slope >= -0.02 else "fail"
         reports.append(ScanReport(
-            "ce1", deltas, values, slope, intercept, r2, expected if admissible else None,
-            verdict, extras={"eps": e, "p": q, "admissible": admissible, "section": section},
+            "ce1", deltas, values, slope, r2, expected if admissible else None,
+            verdict, extras={"section": section},
         ))
     return tuple(reports) if walk else reports[0]
 
@@ -277,19 +277,16 @@ def ce2_scan(p: float, deltas=None) -> ScanReport:
     values = nested_lp_norms(
         profile, 1.0, deltas, lambda rows: (np.abs(x[rows]), density[rows])
     )
-    slope, intercept, r2 = _linear_fit(np.log(1.0 / deltas), values)
+    slope, r2 = _linear_fit(np.log(1.0 / deltas), values)
     verdict = "pass" if r2 > CE2_R2_THRESHOLD else "inconclusive"
-    increments = np.diff(values)
     return ScanReport(
         kind="ce2",
         xs=deltas,
         values=values,
         fit_slope=slope,
-        fit_intercept=intercept,
         fit_r2=r2,
         expected_slope=None,
         verdict=verdict,
-        extras={"p": p, "increments": increments},
     )
 
 
@@ -320,7 +317,7 @@ def ce3_scan(rhos=None) -> ScanReport:
     rhos = np.asarray(rhos, dtype=float)
     if not np.all(np.diff(rhos) > 0):
         raise ValueError("radii must be strictly increasing")
-    if not (np.all(np.isfinite(rhos)) and rhos[0] >= CE3_INNER_RADIUS):
+    if not (np.all(np.isfinite(rhos)) and np.all(rhos >= CE3_INNER_RADIUS)):
         raise ValueError(f"radii must be finite and at least the inner radius {CE3_INNER_RADIUS:g}")
     if rhos.size < _MIN_SCAN_POINTS:
         raise ValueError(f"a scan needs at least {_MIN_SCAN_POINTS} radii, got {rhos.size}")
@@ -328,14 +325,13 @@ def ce3_scan(rhos=None) -> ScanReport:
     lnln = np.log(np.log(rhos))
     area = unit_sphere_area(AMBIENT_D)
     rel = np.abs(np.diff(values) / (area * np.diff(lnln)) - 1.0)
-    slope, intercept, r2 = _linear_fit(lnln, values)
+    slope, r2 = _linear_fit(lnln, values)
     verdict = "pass" if np.all(rel <= CE3_REL_TOL) else "fail"
     return ScanReport(
         kind="ce3",
         xs=rhos,
         values=values,
         fit_slope=slope,
-        fit_intercept=intercept,
         fit_r2=r2,
         expected_slope=area,
         verdict=verdict,

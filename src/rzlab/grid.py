@@ -11,7 +11,6 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -78,11 +77,15 @@ class GridSpec:
             raise ValueError(f"expected {self.d} indices, got {len(multi_index)}")
         return int(np.ravel_multi_index(multi_index, self.shape))
 
-    def nearest_index(self, x) -> tuple[int, ...]:
-        """Multi-index of the grid point nearest to x (periodic)."""
-        x = np.asarray(x, dtype=float)
-        k = (np.rint(x / self.h).astype(int) + self.n // 2) % self.n
-        return tuple(int(v) for v in k)
+    def nearest_index(self, x) -> tuple:
+        """Multi-index of the grid point nearest to each point of x (periodic).
+
+        Coordinates run along axis 0 of x, points along any axes after it:
+        a d-vector gives d integers, a (d, ...) array d index arrays, ready
+        for fancy indexing of grid-shaped values.
+        """
+        k = (np.rint(np.asarray(x, dtype=float) / self.h).astype(int) + self.n // 2) % self.n
+        return tuple(k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,39 +116,19 @@ class Field:
         return self.values.reshape(-1)
 
 
-def sample(spec: GridSpec, fn: Callable[[np.ndarray], float]) -> Field:
-    """Evaluate a pointwise function of a d-vector at every grid point."""
-    pts = spec.points()
-    vals = np.empty(len(pts), dtype=np.float64)
-    for i, p in enumerate(pts):
-        vals[i] = fn(p)
-    if not np.all(np.isfinite(vals)):
-        i = int(np.argmax(~np.isfinite(vals)))
-        raise ValueError(f"sampled function is not finite at grid point {pts[i]}")
-    return Field(spec, vals.reshape(spec.shape))
-
-
-def _region_mask(spec: GridSpec, region) -> np.ndarray:
-    if isinstance(region, np.ndarray):
-        if region.shape != spec.shape:
-            raise ValueError("region mask shape does not match grid")
-        return region.astype(bool)
-    pts = spec.points()
-    mask = np.fromiter((bool(region(p)) for p in pts), dtype=bool, count=len(pts))
-    return mask.reshape(spec.shape)
-
-
 def lp_norm(f: Field, p: float, region=None) -> float:
     """Riemann-sum L^p norm, optionally restricted to a region.
 
-    ``region`` may be a boolean mask of grid shape or a predicate of the
-    point coordinates.  An empty region yields 0 with a warning.
+    ``region`` is a boolean mask of grid shape.  An empty region yields 0
+    with a warning.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     vals = f.values
     if region is not None:
-        mask = _region_mask(f.spec, region)
+        mask = np.asarray(region, dtype=bool)
+        if mask.shape != f.spec.shape:
+            raise ValueError("region mask shape does not match grid")
         if not mask.any():
             warnings.warn("lp_norm over an empty region", stacklevel=2)
             return 0.0

@@ -9,9 +9,9 @@ Tags:
   ce3       V = (1+|x|)^-2 * (ln(4+|x|))^-2, bounded
   custom    arbitrary nonnegative samples supplied as a Field
 
-Singular tags are capped on the grid; the "auto" cap evaluates the formula
-at radial distance h/2 from the singular set, which keeps the discrete
-operator bounded while preserving the local-integrability scaling.
+Singular tags are capped on the grid at :func:`auto_cap`, the formula
+value at radial distance h/2 from the singular set, which keeps the
+discrete operator bounded while preserving the local-integrability scaling.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, GridSpec
-
-
-class SingularPotentialError(ValueError):
-    """Requested an exact evaluation on the singular set."""
 
 
 class GridMismatchError(ValueError):
@@ -96,38 +92,6 @@ def custom(field: Field) -> PotentialSpec:
     return PotentialSpec("custom", field=field)
 
 
-def eval_potential(spec: PotentialSpec, x) -> float:
-    """Exact formula value at a point off the singular set."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"point must be finite, got {x}")
-    if spec.tag == "zero":
-        return 0.0
-    if spec.tag == "const":
-        return spec.c
-    if spec.tag == "harmonic":
-        return float(np.dot(x, x))
-    if spec.tag == "ce1":
-        if len(x) < 2:
-            raise ValueError("ce1 needs at least 2 coordinates")
-        r2 = float(x[0] ** 2 + x[1] ** 2)
-        if r2 == 0.0:
-            raise SingularPotentialError("ce1 is singular on the x1 = x2 = 0 axis")
-        return r2 ** ((spec.eps - 2.0) / 2.0)
-    if spec.tag == "ce2":
-        if float(np.dot(x, x)) >= 1.0:
-            return 0.0
-        if x[0] == 0.0:
-            raise SingularPotentialError("ce2 is singular on the x1 = 0 hyperplane")
-        return abs(float(x[0])) ** (-2.0 / spec.p)
-    if spec.tag == "ce3":
-        r = float(np.linalg.norm(x))
-        return (1.0 + r) ** (-2.0) * math.log(4.0 + r) ** (-2.0)
-    # custom: nearest grid sample
-    f = spec.field
-    return float(f.values[f.spec.nearest_index(x)])
-
-
 def eval_capped(spec: PotentialSpec, pts: np.ndarray, cap: float = math.inf) -> np.ndarray:
     """Vectorized min(V, cap) on an (..., d) array of points.
 
@@ -156,11 +120,9 @@ def eval_capped(spec: PotentialSpec, pts: np.ndarray, cap: float = math.inf) -> 
     if spec.tag == "ce3":
         r = np.sqrt((pts**2).sum(axis=-1))
         return np.minimum((1.0 + r) ** (-2.0) * np.log(4.0 + r) ** (-2.0), cap)
-    # custom: nearest grid sample per point
+    # custom: the nearest grid sample to each point
     f = spec.field
-    flatpts = pts.reshape(-1, pts.shape[-1])
-    vals = np.array([f.values[f.spec.nearest_index(q)] for q in flatpts])
-    return np.minimum(vals.reshape(pts.shape[:-1]), cap)
+    return np.minimum(f.values[f.spec.nearest_index(np.moveaxis(pts, -1, 0))], cap)
 
 
 def auto_cap(spec: PotentialSpec, grid: GridSpec) -> float:
@@ -188,26 +150,19 @@ def check_dimension(spec: PotentialSpec, d: int, need: str) -> None:
         raise GridMismatchError(f"custom potential is a d = {spec.field.spec.d} field, {need}")
 
 
-def discretize_potential(spec: PotentialSpec, grid: GridSpec, cap="auto") -> Field:
-    """Sample min(V, cap) on the grid; singular points get the cap value."""
-    if cap == "auto":
-        cap_value = auto_cap(spec, grid)
-    else:
-        cap_value = float(cap)
-        if not cap_value > 0:
-            raise ValueError(f"cap must be positive, got {cap}")
+def discretize_potential(spec: PotentialSpec, grid: GridSpec) -> Field:
+    """Sample min(V, auto_cap) on the grid; singular points get the cap value.
+
+    A custom potential comes back as its own samples, which must lie on ``grid``.
+    """
     if spec.tag == "custom":
         if spec.field.spec != grid:
             raise GridMismatchError(
                 f"custom potential is sampled on {spec.field.spec}, the check needs {grid}"
             )
-        return Field(grid, np.minimum(spec.field.values, cap_value))
+        return spec.field
     check_dimension(spec, grid.d, f"the check needs {grid}")
-    pts = np.stack(grid.mesh(), axis=-1)
-    vals = eval_capped(spec, pts, cap_value)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("discretized potential has non-finite values; supply a finite cap")
-    return Field(grid, vals)
+    return Field(grid, eval_capped(spec, np.stack(grid.mesh(), axis=-1), auto_cap(spec, grid)))
 
 
 def standard_catalog(d: int, include_zero: bool = True) -> list[PotentialSpec]:

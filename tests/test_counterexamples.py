@@ -72,7 +72,7 @@ def test_ce1_scan_slopes():
 
 def test_ce1_scan_control_flat():
     rep = ce.ce1_scan(0.8, 4.0)
-    assert rep.extras["admissible"] is False
+    assert rep.expected_slope is None  # past the admissibility threshold
     assert rep.fit_slope >= -0.02
 
 
@@ -81,6 +81,8 @@ def test_ce1_scan_delta_guards():
         ce.ce1_scan(0.25, 4.0, deltas=np.array([0.1, 0.2]))
     with pytest.raises(ValueError, match="4h"):
         ce.ce1_scan(0.25, 4.0, deltas=np.array([0.1, 1e-6]), section_n=256)
+    with pytest.raises(ValueError, match="^a scan needs at least 3 cutoffs, got 0$"):
+        ce.ce1_scan(0.25, 4.0, deltas=[])
 
 
 def _full_section_ce1(eps, p, deltas, section_n):
@@ -137,8 +139,8 @@ def test_ce1_float_pair_is_the_one_element_walk(eps, p):
     rep = ce.ce1_scan(eps, p, deltas, section_n=256)
     (walk,) = ce.ce1_scan((eps,), (p,), deltas, section_n=256)
     assert np.array_equal(rep.values, walk.values)
-    assert (rep.fit_slope, rep.fit_intercept, rep.fit_r2, rep.verdict) == (
-        walk.fit_slope, walk.fit_intercept, walk.fit_r2, walk.verdict)
+    assert (rep.fit_slope, rep.fit_r2, rep.expected_slope, rep.verdict) == (
+        walk.fit_slope, walk.fit_r2, walk.expected_slope, walk.verdict)
 
 
 def test_ce1_scan_rejects_unpaired_exponents():
@@ -182,7 +184,7 @@ def test_ce2_scan_log_growth():
     rep = ce.ce2_scan(4.0)
     assert rep.fit_r2 > 0.99
     assert rep.verdict == "pass"
-    incs = rep.extras["increments"]
+    incs = np.diff(rep.values)
     assert np.all(incs > 0)
     # log growth: equal-ratio delta steps give near-equal increments
     assert np.max(np.abs(incs / incs.mean() - 1.0)) < 0.05
@@ -206,6 +208,14 @@ def test_ce2_scan_rejects_cutoffs_outside_the_profile(deltas):
 def test_ce3_scan_rejects_radii_outside_the_tail(rhos):
     with pytest.raises(ValueError, match="finite and at least the inner radius 100"):
         ce.ce3_scan(rhos)
+
+
+def test_ce2_and_ce3_scans_reject_an_empty_list():
+    # the range checks pass an empty list on unindexed; the count check names it
+    with pytest.raises(ValueError, match="^a scan needs at least 3 cutoffs, got 0$"):
+        ce.ce2_scan(4.0, deltas=[])
+    with pytest.raises(ValueError, match="^a scan needs at least 3 radii, got 0$"):
+        ce.ce3_scan([])
 
 
 def test_ce3_scan_lnln_increments():

@@ -16,34 +16,9 @@ from rzlab.grid import (
     lp_ratios,
     nested_lp_norms,
     read_field,
-    sample,
     weak_l1,
     write_field,
 )
-
-
-def test_sample_constant():
-    g = GridSpec(1, 4, 1.0)
-    f = sample(g, lambda x: 1.0)
-    np.testing.assert_array_equal(f.values, [1.0, 1.0, 1.0, 1.0])
-
-
-def test_sample_coordinate():
-    g = GridSpec(1, 4, 1.0)
-    f = sample(g, lambda x: x[0])
-    np.testing.assert_allclose(f.values, [-1.0, -0.5, 0.0, 0.5])
-
-
-def test_sample_radius_squared_2d():
-    g = GridSpec(2, 4, 2.0)
-    f = sample(g, lambda x: x @ x)
-    assert f.values[0, 0] == 8.0
-
-
-def test_sample_rejects_nonfinite():
-    g = GridSpec(1, 4, 1.0)
-    with pytest.raises(ValueError, match="not finite"):
-        sample(g, lambda x: float("inf") if x[0] == 0 else 1.0)
 
 
 @pytest.mark.parametrize("n", [12, 20, 24])
@@ -59,6 +34,8 @@ def test_nearest_index_round_trip_on_a_non_dyadic_grid():
     got = [g.flat_index(g.nearest_index(x)) for x in g.points()]
     assert got == list(range(g.num_points))
     assert g.nearest_index([2.5, -2.5]) == (0, 0)  # the point R is the point -R
+    # coordinates on axis 0, any number of points after it: one index array per axis
+    np.testing.assert_array_equal(g.nearest_index(np.stack(g.mesh())), np.indices(g.shape))
 
 
 def test_gridspec_validation():
@@ -85,8 +62,11 @@ def test_lp_norm_345():
 def test_lp_norm_with_predicate_region():
     g = GridSpec(1, 4, 2.0)
     f = Field(g, [3.0, 4.0, 1.0, 1.0])
-    # predicate of the point coordinates selects the first cell (x = -2)
-    assert lp_norm(f, 2, lambda x: x[0] < -1.5) == pytest.approx(3.0)
+    # a predicate of the point coordinates is a mask of the mesh: the first cell (x = -2)
+    (x,) = g.mesh()
+    assert lp_norm(f, 2, x < -1.5) == pytest.approx(3.0)
+    with pytest.raises(ValueError, match="mask shape"):
+        lp_norm(f, 2, lambda x: x[0] < -1.5)
 
 
 def test_lp_norm_empty_region_warns():
