@@ -14,7 +14,8 @@ identity
 
 is verified at build time across the operator's spectral range.
 
-The semigroup applications are Strang runs (:func:`semigroup.evolve_stack`).
+The semigroup applications are Strang runs (:func:`semigroup.evolve_stack`,
+one matrix power of the step at d = 1, a loop of steps at d >= 2).
 Every node t <= tau0 / 16 is reached from t = 0 directly, and these nodes
 are evolved together, a block of times per call.  The nodes above advance
 one from the next under a step controller, each increment stepping at

@@ -4,7 +4,8 @@ Three independent realizations:
 
 * Strang splitting of the heat flow against the potential (potential
   half-steps outermost), second order in the step size and exact for
-  constant V; the heat flow is applied as one n x n circulant per axis;
+  constant V; the heat flow is applied as one n x n circulant per axis,
+  and at d = 1 a whole run is one matrix power of the step;
 * a dense-matrix route: L built from the spectral Laplacian (so that
   dense and transform paths share one discrete operator exactly) plus
   diag(V), with an eigendecomposition held in one layout, per-axis bases
@@ -17,7 +18,8 @@ Three independent realizations:
   A whole kernel is scanned at one column per orbit of the axis
   reflections when V is even along every axis (:func:`orbit_columns`);
 * a Feynman-Kac Monte Carlo estimate of the kernel k_t(x, y) over
-  Brownian bridges, free-space and non-periodized.
+  Brownian bridges, free-space and non-periodized, one unit-time bridge
+  per block of paths scaled to every time.
 """
 
 from __future__ import annotations
@@ -85,13 +87,17 @@ def evolve_stack(stack: np.ndarray, V: Field, t: float | np.ndarray, steps: int)
     (m, *stack.shape), the stack evolved to each time in ``steps`` equal
     steps, each slice equal to the call with that time alone.
 
-    Adjacent potential half-steps are merged: one e^{-tau V/2} opens the
-    run, each step is a heat step followed by e^{-tau V}, and the last
-    step closes with e^{-tau V/2} instead.  The heat flow e^{tau Delta} is
-    the Kronecker product of one n x n circulant H per axis, the inverse
-    real FFT of the even 1-D symbol exp(-tau xi_k^2) gathered by |i - j|
-    folded to at most n/2, so H is symmetric and a heat step is d matrix
-    products against it, batched over the times.
+    The heat flow e^{tau Delta} is the Kronecker product of one n x n
+    circulant H per axis, the inverse real FFT of the even 1-D symbol
+    exp(-tau xi_k^2) gathered by |i - j| folded to at most n/2, so H is
+    symmetric.  At d = 1 a whole step is the one symmetric n x n matrix
+    S = e^{-tau V/2} H e^{-tau V/2}, and the run is the stack times
+    S^steps, formed by binary powering over the times (about
+    2 log2(steps) products).  At d >= 2, where S would be N x N, adjacent
+    potential half-steps are merged: one e^{-tau V/2} opens the run, each
+    step is a heat step, d matrix products against H batched over the
+    times, followed by e^{-tau V}, and the last step closes with
+    e^{-tau V/2} instead.
     """
     ts, spec = np.atleast_1d(np.asarray(t, dtype=float)), V.spec
     m, n, d = len(ts), spec.n, spec.d
@@ -100,13 +106,18 @@ def evolve_stack(stack: np.ndarray, V: Field, t: float | np.ndarray, steps: int)
     heat = np.fft.irfft(np.exp(np.multiply.outer(-tau, xi2)), n, axis=-1).take(fold, axis=1)
     lead = (1,) * (stack.ndim - d)
     half = np.exp(np.multiply.outer(-0.5 * tau, V.values)).reshape(m, *lead, *spec.shape)
-    full = np.exp(np.multiply.outer(-tau, V.values)).reshape(half.shape) if steps > 1 else None
-    u = half * stack
-    for i in range(steps):
-        for a in range(1, d):  # grid axis a - 1, with n^(d - a) samples after it
-            u = heat[:, None] @ u.reshape(m, -1, n, n ** (d - a))
-        u = (u.reshape(m, -1, n) @ heat).reshape(m, *stack.shape)
-        u *= full if i < steps - 1 else half
+    if d == 1:
+        step = half.reshape(m, n, 1) * heat
+        step *= half.reshape(m, 1, n)  # in place: a second fresh (m, n, n) array costs 3x more
+        u = (stack.reshape(1, -1, n) @ np.linalg.matrix_power(step, steps)).reshape(m, *stack.shape)
+    else:
+        full = np.exp(np.multiply.outer(-tau, V.values)).reshape(half.shape) if steps > 1 else None
+        u = half * stack
+        for i in range(steps):
+            for a in range(1, d):  # grid axis a - 1, with n^(d - a) samples after it
+                u = heat[:, None] @ u.reshape(m, -1, n, n ** (d - a))
+            u = (u.reshape(m, -1, n) @ heat).reshape(m, *stack.shape)
+            u *= full if i < steps - 1 else half
     u[ts == 0.0] = stack
     return u if np.ndim(t) else u[0]
 
@@ -430,8 +441,9 @@ def fk_kernel_estimate(
     Paths are split into chunks of FK_CHUNK paths with per-chunk seeds
     derived from (seed, chunk index), so changing FK_CHUNK changes every
     estimate.  A chunk's normals are drawn once, FK_BLOCK_ELEMENTS at a
-    time, and serve every triple and potential; each entry equals the
-    table of its own potential and triple alone.
+    time, and form one unit-time bridge that serves every triple and
+    potential; each entry equals the table of its own potential and
+    triple alone.
     """
     triples = list(zip(xs, ys, ts, strict=True))
     if paths < 1:
@@ -448,14 +460,16 @@ def fk_kernel_estimate(
             raise ValueError("endpoints must have the same dimension")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError(f"endpoints must be finite, got x={x.tolist()} y={y.tolist()}")
-        # Midpoint bridge times, plus the terminal time for pinning.  The
-        # semigroup is generated by the full Laplacian, so the bridge
-        # variance is 2s(t-s)/t: increments carry variance 2 dt.
-        times = (np.arange(slices) + 0.5) * (t / slices)
-        sigma = np.sqrt(2.0 * np.diff(np.concatenate([[0.0], times, [t]])))
-        ends.append((x, y, t, sigma[None, :, None], (times / t)[None, :, None]))
+        ends.append((x, y, t))
+    # Midpoint bridge times, plus the terminal time for pinning, at t = 1.
+    # The semigroup is generated by the full Laplacian, so the bridge
+    # variance is 2s(t-s)/t: increments carry variance 2 dt.  The times
+    # scale with t and the increments with sqrt(t), so a triple's bridge is
+    # x + frac (y - x) + sqrt(t) * (the unit bridge of the same normals).
+    frac = ((np.arange(slices) + 0.5) / slices)[None, :, None]
+    sigma = np.sqrt(2.0 * np.diff(frac, axis=1, prepend=0.0, append=1.0))
     out = np.zeros((len(specs), len(ends), 2))
-    out[..., 0] = [heat_kernel_free(x, y, t) for x, y, t, _, _ in ends]
+    out[..., 0] = [heat_kernel_free(x, y, t) for x, y, t in ends]
     live = [i for i, spec in enumerate(specs) if spec.tag != "zero"]
     d = len(ends[0][0]) if ends else 1
     for spec in specs if ends else ():  # no endpoints, no dimension to check
@@ -468,9 +482,10 @@ def fk_kernel_estimate(
         weights = np.empty((len(specs), len(ends), count))
         for r in range(0, count, rows):
             z = rng.standard_normal((min(rows, count - r), slices + 1, d))
-            for j, (x, y, t, sigma, frac) in enumerate(ends):
-                w = np.cumsum(z * sigma, axis=1)
-                bridge = x + frac * (y - x) + w[:, :-1, :] - frac * w[:, -1:, :]
+            w = np.cumsum(z * sigma, axis=1)
+            unit = w[:, :-1, :] - frac * w[:, -1:, :]
+            for j, (x, y, t) in enumerate(ends):
+                bridge = x + frac * (y - x) + math.sqrt(t) * unit
                 for i in live:
                     pot = potentials.eval_capped(specs[i], bridge)
                     weights[i, j, r : r + len(z)] = np.exp(-(t / slices) * pot.sum(axis=1))

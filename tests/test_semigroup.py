@@ -67,7 +67,7 @@ def _unfused_strang(stack, V, spec, t, steps):
 
 
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
-@pytest.mark.parametrize("steps", [1, 2, 7])
+@pytest.mark.parametrize("steps", [1, 2, 7, 64, 256])
 @pytest.mark.parametrize("batch", [1, 3])
 def test_fused_evolve_stack_matches_unfused_reference(d, n, steps, batch):
     g = GridSpec(d, n, 4.0)
@@ -81,7 +81,7 @@ def test_fused_evolve_stack_matches_unfused_reference(d, n, steps, batch):
 
 
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 8)])
-@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("steps", [1, 2, 7, 64])
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_time_array_equals_scalar_calls_exactly(d, n, steps, lead):
     g = GridSpec(d, n, 4.0)
@@ -460,6 +460,18 @@ def test_dense_semigroup_is_splitting_limit(g1):
     assert np.linalg.norm(out.ravel() - ref) / np.linalg.norm(ref) <= 1e-4
 
 
+def test_d1_strang_power_reaches_dense_semigroup_at_fine_steps(g1):
+    # 1e5 steps of tau = 3e-6: a splitting error near 1e-11, which a
+    # rounding error growing with the step count would swamp
+    V = potentials.discretize_potential(potentials.harmonic(), g1)
+    f = random_field(g1, 7)
+    t = 0.3
+    op = semigroup.dense_schrodinger(V)
+    ref = semigroup.matrix_function(op, lambda lam: np.exp(-t * lam)) @ f.flat()
+    out = semigroup.evolve_stack(f.values, V, t, 100_000)
+    assert np.linalg.norm(out.ravel() - ref) / np.linalg.norm(ref) <= 1e-10
+
+
 # Feynman-Kac
 
 
@@ -513,18 +525,52 @@ def test_fk_rejects_bad_args():
 
 
 FK_SPECS = (potentials.zero(), potentials.const(2.0), potentials.harmonic(), potentials.ce3())
-
-
-@pytest.mark.parametrize("triples,paths,seed", [
+FK_TABLE_CASES = pytest.mark.parametrize("triples,paths,seed", [
     ([([0.0], [0.0], 0.25), ([0.5], [-0.25], 0.4), ([1.0], [1.0], 0.1)], 20000, 1234),
     ([([0.0, 0.5], [0.25, -0.5], 0.4), ([0.3, 0.1], [0.0, 0.0], 0.7)], 10000, 7),
 ], ids=["d1", "d2-partial-chunk"])
+
+
+def _per_triple_fk(specs, x, y, t, paths, seed, slices=semigroup.DEFAULT_BRIDGE_SLICES):
+    """Reference (estimate, stderr) per potential: the bridge built at time t, its own cumsum."""
+    x, y = np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(y, float))
+    times = (np.arange(slices) + 0.5) * (t / slices)
+    sigma = np.sqrt(2.0 * np.diff(np.concatenate([[0.0], times, [t]])))[None, :, None]
+    frac = (times / t)[None, :, None]
+    rows = max(1, semigroup.FK_BLOCK_ELEMENTS // ((slices + 1) * len(x)))
+    sums = np.zeros((len(specs), 2))
+    for ci, start in enumerate(range(0, paths, semigroup.FK_CHUNK)):
+        count = min(semigroup.FK_CHUNK, paths - start)
+        rng = np.random.default_rng([seed, ci])
+        weights = np.empty((len(specs), count))
+        for r in range(0, count, rows):
+            z = rng.standard_normal((min(rows, count - r), slices + 1, len(x)))
+            w = np.cumsum(z * sigma, axis=1)
+            bridge = x + frac * (y - x) + w[:, :-1, :] - frac * w[:, -1:, :]
+            for i, spec in enumerate(specs):
+                pot = potentials.eval_capped(spec, bridge)
+                weights[i, r : r + len(z)] = np.exp(-(t / slices) * pot.sum(axis=1))
+        sums += np.stack([weights.sum(axis=1), (weights**2).sum(axis=1)], axis=1)
+    mean = sums[:, 0] / paths
+    var = np.maximum(0.0, (sums[:, 1] - paths * mean**2) / (paths - 1))
+    return semigroup.heat_kernel_free(x, y, t) * np.stack([mean, np.sqrt(var / paths)], axis=1)
+
+
+@FK_TABLE_CASES
 def test_fk_table_equals_single_estimates_bit_for_bit(triples, paths, seed):
     table = semigroup.fk_kernel_estimate(FK_SPECS, *zip(*triples), paths, seed)
     assert table.shape == (len(FK_SPECS), len(triples), 2)
     for i, spec in enumerate(FK_SPECS):
         for j, (x, y, t) in enumerate(triples):
             assert tuple(table[i, j].tolist()) == fk_one(spec, x, y, t, paths, seed)
+
+
+@FK_TABLE_CASES
+def test_fk_unit_bridge_matches_per_triple_bridge(triples, paths, seed):
+    table = semigroup.fk_kernel_estimate(FK_SPECS, *zip(*triples), paths, seed)
+    for j, (x, y, t) in enumerate(triples):
+        ref = _per_triple_fk(FK_SPECS, x, y, t, paths, seed)
+        np.testing.assert_allclose(table[:, j], ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("block", [512, 1000, 2**20])
