@@ -7,12 +7,13 @@ The powers -1/2, -1, +1/2 are weighted time-integrals of the semigroup:
     L^(+1/2) f = c2 * int_0^inf (e^{-tL} f - f)  dt / t^(3/2)
 
 with c1 = pi^(-1/2) and c2 = -(2 sqrt(pi))^(-1).  The trapezoid rule in
-s = ln t, about four nodes per decade of t, gives a rule whose scalar
-identity
+s = ln t, about four nodes per decade of t, gives node coefficients c_i
+whose scalar identity
 
-    sum_i w_i phi_power(t_i, lam) ~ lam^power
+    sum_i c_i e^{-t_i lam} ~ lam^power    (e^{-t_i lam} - 1 for +1/2)
 
-is verified at build time across the operator's spectral range.
+is verified at build time across the operator's spectral range, on the
+same coefficients the walk sums.
 
 The semigroup applications are Strang runs (:func:`semigroup.evolve_stack`,
 one matrix power of the step at d = 1, a loop of steps at d >= 2).
@@ -53,23 +54,6 @@ class QuadratureBuildError(RuntimeError):
     """Requested tolerance unreachable within the node budget."""
 
 
-def phi_weight(power: float, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Scalar integrand phi_power(t, lam) whose t-integral is lam^power.
-
-    The +1/2 integrand takes e^{-lam t} - 1 from expm1, which does not
-    cancel at small lam t.
-    """
-    t = np.asarray(t, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if power == -0.5:
-        return C1 * np.exp(-np.multiply.outer(lam, t)) / np.sqrt(t)
-    if power == -1.0:
-        return np.exp(-np.multiply.outer(lam, t))
-    if power == 0.5:
-        return C2 * np.expm1(-np.multiply.outer(lam, t)) * t**-1.5
-    raise ValueError(f"unsupported power {power}")
-
-
 @dataclass(frozen=True, eq=False)
 class TimeQuadrature:
     """Trapezoid rule in s = ln t for subordination powers: t_k = e^{kh}, w_k = h t_k."""
@@ -81,10 +65,12 @@ class TimeQuadrature:
     spectral_range: tuple[float, float]
 
     def scalar_apply(self, power: float, lam) -> np.ndarray:
-        """sum_i w_i phi_power(t_i, lam) for one of the rule's powers."""
+        """sum_i c_i e^{-t_i lam} on the walk's own c_i (expm1, not cancelling, at +1/2)."""
         if power not in self.powers:
             raise ValueError(f"rule built for powers {self.powers}, not {power}")
-        return phi_weight(power, self.nodes, np.atleast_1d(lam)) @ self.weights
+        decay = np.expm1 if power == 0.5 else np.exp
+        x = np.multiply.outer(-np.atleast_1d(lam), self.nodes)  # -lam t_i, decayed in place
+        return decay(x, out=x) @ _node_coefficients(power, self)
 
     def max_identity_error(self) -> float:
         """Max relative error of each power's identity at QUAD_CHECK_LAMBDAS log-spaced lambdas."""
@@ -93,6 +79,16 @@ class TimeQuadrature:
             float(np.max(np.abs(self.scalar_apply(p, lams) - lams**p) / np.abs(lams**p)))
             for p in self.powers
         )
+
+
+def _node_coefficients(power: float, quad: TimeQuadrature) -> np.ndarray:
+    """c_i of the walk's node sums, the coefficients the identity is checked on."""
+    t, w = quad.nodes, quad.weights
+    if power == -0.5:
+        return w * C1 / np.sqrt(t)
+    if power == -1.0:
+        return w
+    return w * C2 * t**-1.5
 
 
 def _range_for(power: float, lam_min: float, lam_max: float, tol: float) -> tuple[float, float]:
@@ -162,10 +158,16 @@ def spectral_bounds(V: Field) -> tuple[float, float]:
     """Spectral range of L for quadrature sizing, from the dense operator.
 
     (smallest eigenvalue off :func:`semigroup.zero_modes`, largest
-    eigenvalue); past the dense cap :class:`semigroup.DenseCapError`.
+    eigenvalue); past the dense cap :class:`semigroup.DenseCapError`.  A V
+    that is not 0 but has an eigenvalue under the zero-mode floor raises
+    :class:`QuadratureBuildError`: a rule from lambda_2 would drop lambda_1.
     """
     lam = semigroup.dense_schrodinger(V).eigenvalues
-    return float(lam[~semigroup.zero_modes(lam)].min()), float(lam.max())
+    zero = semigroup.zero_modes(lam)
+    if zero.any() and not semigroup.vanishes(V):
+        raise QuadratureBuildError(f"V is not 0 but its lowest eigenvalue {lam.min():.3g} is under "
+                                   f"the zero-mode floor {semigroup.zero_mode_floor(lam):.3g}")
+    return float(lam[~zero].min()), float(lam.max())
 
 
 DEFAULT_SUBORDINATION_STEP = 0.04
@@ -183,16 +185,6 @@ DIRECT_BLOCK_ELEMENTS = 2**16
 # e^h apart leave the first increments one or two steps otherwise: QUAD_VS_DENSE's
 # d = 1 harmonic power -1/2 entry reads 2.5e-7 with the cap, 5.5e-6 without.
 STEP_NODE_FRACTION = 0.1
-
-
-def _node_coefficients(power: float, quad: TimeQuadrature) -> np.ndarray:
-    """c_i with sum_i c_i e^{-t_i lam} the quadrature's semigroup part."""
-    t, w = quad.nodes, quad.weights
-    if power == -0.5:
-        return w * C1 / np.sqrt(t)
-    if power == -1.0:
-        return w
-    return w * C2 * t**-1.5
 
 
 def subordinated_apply_stack(

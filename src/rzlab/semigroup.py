@@ -342,13 +342,14 @@ def _factor(grid: GridSpec, samples: bytes) -> DenseOperator:
     return DenseOperator(grid, bases, tuple(blocks))
 
 
-def zero_modes(lam: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalues treated as zero: |lam| <= 1e-9 max(1, max |lam|).
+def zero_mode_floor(lam: np.ndarray) -> float:
+    """1e-9 max(1, max |lam|), the largest |eigenvalue| :func:`zero_modes` treats as zero."""
+    return 1e-9 * max(1.0, float(np.max(np.abs(lam))))
 
-    The sign of a computed zero eigenvalue is rounding noise, so every
-    consumer of the spectrum uses this one predicate.
-    """
-    return np.abs(lam) <= 1e-9 * max(1.0, float(np.max(np.abs(lam))))
+
+def zero_modes(lam: np.ndarray) -> np.ndarray:
+    """Mask of |lam| <= :func:`zero_mode_floor`, the one zero-mode test (a zero's sign is noise)."""
+    return np.abs(lam) <= zero_mode_floor(lam)
 
 
 def vanishes(V: Field) -> bool:

@@ -118,11 +118,8 @@ def _half_spectrum(m: MultiplierSpec | tuple[MultiplierSpec, ...], spec: GridSpe
     return half
 
 
-@lru_cache(maxsize=64)
 def _xi_squared(spec: GridSpec) -> np.ndarray:
-    xi2 = sum(x * x for x in spec.freq_mesh())
-    xi2.setflags(write=False)
-    return xi2
+    return sum(x * x for x in spec.freq_mesh())
 
 
 def _safe_inverse(a: np.ndarray) -> np.ndarray:

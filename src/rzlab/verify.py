@@ -144,24 +144,19 @@ class CheckReport:
     measured_value: float
     tolerance: float
     verdict: str
-    runtime_s: float
+    runtime_s: float = 0.0  # set by run_check
+
+    def __post_init__(self) -> None:
+        for name in ("bound_value", "measured_value", "tolerance"):
+            setattr(self, name, float(getattr(self, name)))
 
     def passed(self) -> bool:
         return self.verdict == "pass"
 
     def to_dict(self, include_runtime: bool = True) -> dict:
-        raw = {
-            "check_id": self.check_id,
-            "config": self.config,
-            "measured": self.measured,
-            "bound_name": self.bound_name,
-            "bound_value": self.bound_value,
-            "measured_value": self.measured_value,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
-        if include_runtime:
-            raw["runtime_s"] = self.runtime_s
+        raw = asdict(self)
+        if not include_runtime:
+            del raw["runtime_s"]
         return raw
 
 
@@ -281,21 +276,6 @@ def _interp_bound(p: float) -> float:
     return 2.0 ** ((2.0 - p) / p)
 
 
-def _report(check_id, cfg_note, measured, bound_name, bound_value, measured_value,
-            tolerance, verdict) -> CheckReport:
-    return CheckReport(
-        check_id=check_id,
-        config=cfg_note,
-        measured=measured,
-        bound_name=bound_name,
-        bound_value=float(bound_value),
-        measured_value=float(measured_value),
-        tolerance=float(tolerance),
-        verdict=verdict,
-        runtime_s=0.0,  # set by run_check
-    )
-
-
 def _cfg_note(cfg: RunConfig, **extra) -> dict:
     note = asdict(cfg)
     note.update(extra)
@@ -328,7 +308,7 @@ def check_domination(cfg: RunConfig) -> CheckReport:
     tol = 1e-8
     verdict = "pass" if worst <= tol else "fail"
     note = _cfg_note(cfg, times=[0.1, 0.5, 1.0], catalog=[pot.label() for pot in pots])
-    return _report("DOMINATION", note, per, "pointwise_excess", 0.0, worst, tol, verdict)
+    return CheckReport("DOMINATION", note, per, "pointwise_excess", 0.0, worst, tol, verdict)
 
 
 def check_composition(cfg: RunConfig) -> CheckReport:
@@ -347,8 +327,8 @@ def check_composition(cfg: RunConfig) -> CheckReport:
     err = float(np.sqrt(sums[0] / sums[1]))
     tol = 1e-10
     verdict = "pass" if err <= tol else "fail"
-    return _report("COMPOSITION", _cfg_note(cfg), {"rel_frobenius_err": err},
-                   "composition_residual", 0.0, err, tol, verdict)
+    return CheckReport("COMPOSITION", _cfg_note(cfg), {"rel_frobenius_err": err},
+                       "composition_residual", 0.0, err, tol, verdict)
 
 
 def check_green_mass(cfg: RunConfig) -> CheckReport:
@@ -368,50 +348,58 @@ def check_green_mass(cfg: RunConfig) -> CheckReport:
         worst = max(worst, float(np.max(masses[ys])))
     ok = const_dev <= 1e-10 and worst <= 1.0 + 1e-8
     note = _cfg_note(cfg, catalog=[const.label(), f"{samples} uniform(0, 5) samples"])
-    return _report("GREEN_MASS", note,
-                   {"const_equality_dev": const_dev, "random_max_mass": worst},
-                   "green_mass", 1.0, worst, 1e-8, "pass" if ok else "fail")
+    return CheckReport("GREEN_MASS", note,
+                       {"const_equality_dev": const_dev, "random_max_mass": worst},
+                       "green_mass", 1.0, worst, 1e-8, "pass" if ok else "fail")
+
+
+def _factor_ratios(grid: GridSpec, catalog, draw, ps) -> dict:
+    """Largest ||A f||_p / ||f||_p per (V label, p), A = sqrt(-Delta) L^(-1/2) from dense.
+
+    ``draw(pot)`` gives V's trial stack.  Every p goes through one formula,
+    (|x|^p).sum() ** (1/p): numpy's scalar-power fast paths make p = 2 the
+    l2 norm and p = 1 the absolute sum, bit for bit.
+    """
+    out = {}
+    for pot in catalog:
+        stack = draw(pot)
+        V = potentials.discretize_potential(pot, grid)
+        Af = riesz.factor_from_inv_sqrt(fracpow.dense_power(stack, V, -0.5), grid)
+        num, den = (np.abs(x.reshape(len(x), -1)) for x in (Af, stack))
+        for p in ps:
+            top, bottom = ((x**p).sum(axis=1) ** (1 / p) for x in (num, den))
+            out[pot.label(), p] = float((top / bottom).max())
+    return out
 
 
 def check_l2_contract(cfg: RunConfig) -> CheckReport:
     """L2 ratio of the half-power factor at most 1 for every catalog V."""
     rng = rng_for(cfg.seed, "L2_CONTRACT")
-    grid = cfg.grid()
+    grid, catalog = cfg.grid(), potentials.standard_catalog(cfg.d)
     stack = trial_family(grid, rng, cfg.trials, mean_zero=True, structured=False)
-    norms = l2_norms(stack, grid)
-    worst = -math.inf
-    per = {}
-    catalog = potentials.standard_catalog(grid.d)
-    for pot in catalog:
-        V = potentials.discretize_potential(pot, grid)
-        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(stack, V, -0.5), grid)
-        ratios = l2_norms(out, grid) / norms
-        per[pot.label()] = float(ratios.max())
-        worst = max(worst, per[pot.label()])
+    ratios = _factor_ratios(grid, catalog, lambda pot: stack, (2.0,))
+    per = {v: r for (v, _), r in ratios.items()}
+    worst = max(per.values())
     verdict = "pass" if worst <= 1.0 + DENSE_TOL else "fail"
     note = _cfg_note(cfg, catalog=[pot.label() for pot in catalog])
-    return _report("L2_CONTRACT", note, per, "l2_ratio", 1.0, worst, DENSE_TOL, verdict)
+    return CheckReport("L2_CONTRACT", note, per, "l2_ratio", 1.0, worst, DENSE_TOL, verdict)
+
+
+def _catalog_draw(cfg: RunConfig, check_id: str):
+    """The per-V draw of L1_BOUND and INTERP: a fresh trial family, mean-zero for V = 0."""
+    rng, grid = rng_for(cfg.seed, check_id), cfg.grid()
+    return lambda pot: trial_family(grid, rng, cfg.trials, mean_zero=pot.tag == "zero")
 
 
 def check_l1_bound(cfg: RunConfig) -> CheckReport:
     """Per-function L1 ratio of the half-power factor at most 2."""
-    rng = rng_for(cfg.seed, "L1_BOUND")
-    grid = cfg.grid()
-    worst = -math.inf
-    per = {}
-    catalog = potentials.standard_catalog(grid.d)
-    for pot in catalog:
-        mean_zero = pot.tag == "zero"
-        stack = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
-        V = potentials.discretize_potential(pot, grid)
-        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(stack, V, -0.5), grid)
-        num = np.abs(out.reshape(len(out), -1)).sum(axis=1)
-        den = np.abs(stack.reshape(len(stack), -1)).sum(axis=1)
-        per[pot.label()] = float((num / den).max())
-        worst = max(worst, per[pot.label()])
+    grid, catalog = cfg.grid(), potentials.standard_catalog(cfg.d)
+    ratios = _factor_ratios(grid, catalog, _catalog_draw(cfg, "L1_BOUND"), (1.0,))
+    per = {v: r for (v, _), r in ratios.items()}
+    worst = max(per.values())
     verdict = "pass" if worst <= 2.0 * (1.0 + DENSE_TOL) else "fail"
     note = _cfg_note(cfg, catalog=[pot.label() for pot in catalog])
-    return _report("L1_BOUND", note, per, "l1_ratio", 2.0, worst, DENSE_TOL, verdict)
+    return CheckReport("L1_BOUND", note, per, "l1_ratio", 2.0, worst, DENSE_TOL, verdict)
 
 
 def check_w_kernel(cfg: RunConfig) -> CheckReport:
@@ -443,39 +431,23 @@ def check_w_kernel(cfg: RunConfig) -> CheckReport:
         worst_mass = max(worst_mass, W.max_column_mass)
     ok = worst_neg >= -1e-8 and worst_mass <= mass_bound + 1e-6
     note = _cfg_note(cfg, n=grid.n, catalog=[pot.label() for pot in catalog])
-    return _report("W_KERNEL", note, per, "column_mass",
-                   mass_bound, worst_mass, 1e-6, "pass" if ok else "fail")
+    return CheckReport("W_KERNEL", note, per, "column_mass",
+                       mass_bound, worst_mass, 1e-6, "pass" if ok else "fail")
 
 
 def check_interp(cfg: RunConfig) -> CheckReport:
     """Interpolated per-function p-norm ratios for the half-power factor."""
-    rng = rng_for(cfg.seed, "INTERP")
-    grid = cfg.grid()
+    grid, catalog = cfg.grid(), potentials.standard_catalog(cfg.d)
     ps = sorted(set([1.0, *cfg.p_list]))
-    worst_margin = -math.inf
-    worst_pair = None
-    per = {}
-    catalog = potentials.standard_catalog(grid.d)
-    for pot in catalog:
-        mean_zero = pot.tag == "zero"
-        stack = trial_family(grid, rng, cfg.trials, mean_zero=mean_zero)
-        V = potentials.discretize_potential(pot, grid)
-        out = riesz.factor_from_inv_sqrt(fracpow.dense_power(stack, V, -0.5), grid)
-        for p in ps:
-            num = (np.abs(out.reshape(len(out), -1)) ** p).sum(axis=1) ** (1 / p)
-            den = (np.abs(stack.reshape(len(stack), -1)) ** p).sum(axis=1) ** (1 / p)
-            ratio = float((num / den).max())
-            bound = _interp_bound(p)
-            per[f"{pot.label()}_p{p:g}"] = ratio
-            margin = ratio / bound
-            if margin > worst_margin:
-                worst_margin = margin
-                worst_pair = (pot.label(), p, ratio, bound)
-    verdict = "pass" if worst_margin <= 1.0 + QUAD_TOL else "fail"
-    label, p, ratio, bound = worst_pair
+    ratios = _factor_ratios(grid, catalog, _catalog_draw(cfg, "INTERP"), ps)
+    # the first (V, p) of the largest ratio / bound
+    label, p = max(ratios, key=lambda k: ratios[k] / _interp_bound(k[1]))
+    ratio, bound = ratios[label, p], _interp_bound(p)
+    verdict = "pass" if ratio / bound <= 1.0 + QUAD_TOL else "fail"
+    per = {f"{v}_p{q:g}": r for (v, q), r in ratios.items()}
     note = _cfg_note(cfg, p_values=ps, worst=f"{label}@p={p:g}",
                      catalog=[pot.label() for pot in catalog])
-    return _report("INTERP", note, per, "interp_ratio", bound, ratio, QUAD_TOL, verdict)
+    return CheckReport("INTERP", note, per, "interp_ratio", bound, ratio, QUAD_TOL, verdict)
 
 
 # THEOREM reduces the Riesz vectors of this many fields to numbers before
@@ -569,9 +541,9 @@ def check_theorem(cfg: RunConfig) -> CheckReport:
     if any(k != cfg.theorem_trials for k in trials_by_d.values()):
         # coarse grids drop degenerate structured fields; say how many ran
         note["trials_by_d"] = trials_by_d
-    return _report("THEOREM", note, measured,
-                   "vector_margin", 1.0, worst_vector_margin, QUAD_TOL,
-                   "pass" if ok else "fail")
+    return CheckReport("THEOREM", note, measured,
+                       "vector_margin", 1.0, worst_vector_margin, QUAD_TOL,
+                       "pass" if ok else "fail")
 
 
 def check_weak11(cfg: RunConfig) -> CheckReport:
@@ -603,9 +575,9 @@ def check_weak11(cfg: RunConfig) -> CheckReport:
     ]
     worst = float(max(rel))
     verdict = "pass" if worst <= 0.10 else "fail"
-    return _report("WEAK11", _cfg_note(cfg, widths=widths, d=d),
-                   {f"width_case_{i}": r for i, r in enumerate(rel)},
-                   "refinement_change", 0.0, worst, 0.10, verdict)
+    return CheckReport("WEAK11", _cfg_note(cfg, widths=widths, d=d),
+                       {f"width_case_{i}": r for i, r in enumerate(rel)},
+                       "refinement_change", 0.0, worst, 0.10, verdict)
 
 
 def check_vhalf(cfg: RunConfig) -> CheckReport:
@@ -629,8 +601,8 @@ def check_vhalf(cfg: RunConfig) -> CheckReport:
             if p == 2.0:
                 worst_p2 = max(worst_p2, per[f"d{d}_p{p:g}"])
     verdict = "pass" if worst_p2 <= 1.0 + DENSE_TOL else "fail"
-    return _report("VHALF", _cfg_note(cfg, dims=list(dims), p_values=list(ps)), per, "p2_ratio",
-                   1.0, worst_p2, DENSE_TOL, verdict)
+    return CheckReport("VHALF", _cfg_note(cfg, dims=list(dims), p_values=list(ps)), per,
+                       "p2_ratio", 1.0, worst_p2, DENSE_TOL, verdict)
 
 
 def check_ce1(cfg: RunConfig) -> CheckReport:
@@ -657,8 +629,8 @@ def check_ce1(cfg: RunConfig) -> CheckReport:
     verdict = "pass" if ok else "fail"
     note = _cfg_note(cfg, lattice=lattice, section=asdict(control.extras["section"]),
                      deltas=control.xs.tolist(), residual_grid=asdict(residual_grid))
-    return _report("CE1", note, measured, "slope_deviation", 0.0, worst_dev,
-                   counterexamples.CE1_SLOPE_TOL, verdict)
+    return CheckReport("CE1", note, measured, "slope_deviation", 0.0, worst_dev,
+                       counterexamples.CE1_SLOPE_TOL, verdict)
 
 
 def check_ce2(cfg: RunConfig) -> CheckReport:
@@ -678,8 +650,8 @@ def check_ce2(cfg: RunConfig) -> CheckReport:
     measured.update(env)
     ok &= env["upper_excess_local"] <= 2e-3 and env["fitted_c"] > 0.0
     verdict = "pass" if ok else "fail"
-    return _report("CE2", _cfg_note(cfg), measured, "mass_fit_r2", counterexamples.CE2_R2_THRESHOLD,
-                   rep.fit_r2, 0.0, verdict)
+    return CheckReport("CE2", _cfg_note(cfg), measured, "mass_fit_r2",
+                       counterexamples.CE2_R2_THRESHOLD, rep.fit_r2, 0.0, verdict)
 
 
 def gaussian_envelope_spotcheck(
@@ -766,8 +738,8 @@ def check_ce3(cfg: RunConfig) -> CheckReport:
     ok &= stab < 0.02 and not gb1.divergent
     verdict = "pass" if ok else "fail"
     worst = float(max(rep.extras["increment_rel_err"]))
-    return _report("CE3", _cfg_note(cfg), measured, "increment_rel_err", 0.0, worst,
-                   counterexamples.CE3_REL_TOL, verdict)
+    return CheckReport("CE3", _cfg_note(cfg), measured, "increment_rel_err", 0.0, worst,
+                       counterexamples.CE3_REL_TOL, verdict)
 
 
 FK_TRIPLES = ((0.0, 0.0, 0.25), (0.5, -0.25, 0.4), (1.0, 1.0, 0.1))
@@ -805,7 +777,8 @@ def check_fk_oracle(cfg: RunConfig) -> CheckReport:
     verdict = "pass" if ok else "fail"
     note = _cfg_note(cfg, triples=FK_TRIPLES, dims=[grid.d], ns=[grid.n],
                      catalog=[pot.label() for pot in pots])
-    return _report("FK_ORACLE", note, measured, "sigma_distance", 3.0, worst_sigma, 0.0, verdict)
+    return CheckReport("FK_ORACLE", note, measured, "sigma_distance", 3.0, worst_sigma, 0.0,
+                       verdict)
 
 
 QUAD_GRIDS = ((1, 32), (2, 16))
@@ -838,7 +811,7 @@ def check_quad_vs_dense(cfg: RunConfig) -> CheckReport:
     verdict = "pass" if worst <= 1e-4 else "fail"
     note = _cfg_note(cfg, dims=[d for d, _ in QUAD_GRIDS], ns=[n for _, n in QUAD_GRIDS],
                      catalog=list(ran))
-    return _report("QUAD_VS_DENSE", note, per, "rel_l2_err", 0.0, worst, 1e-4, verdict)
+    return CheckReport("QUAD_VS_DENSE", note, per, "rel_l2_err", 0.0, worst, 1e-4, verdict)
 
 
 CHECKS = {

@@ -339,6 +339,16 @@ def test_unreachable_quad_tol_exits_2_with_one_line(tmp_path, capsys, check):
     assert not out.exists()
 
 
+def test_v_under_the_zero_mode_floor_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "rep"
+    rc = run_cli("check", "THEOREM", "--potential", "const:1e-8", "--out", str(out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rzlab: error: ") and err.count("\n") == 1
+    assert "zero-mode floor" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_grid_past_the_dense_cap_exits_2_with_one_line(tmp_path, capsys):
     out = tmp_path / "rep"
     rc = run_cli("check", "COMPOSITION", "--d", "3", "--n", "24", "--out", str(out))

@@ -217,6 +217,39 @@ def test_log_trapezoid_rule_walks_few_nodes(monkeypatch):
     assert len(calls) <= 60
 
 
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8)])
+def test_walk_applies_the_rule_it_verified(d, n):
+    # Strang splitting is exact for a constant V, so the walk maps a Fourier
+    # mode to the rule's own sum at its eigenvalue, to rounding, although
+    # that sum is off from lambda^p by up to 5.8e-7; the +1/2 sum amplifies
+    # the rounding of the states at its small nodes.
+    g = GridSpec(d, n, 4.0)
+    V = potentials.discretize_potential(potentials.const(2.0), g)
+    mode = np.cos(3.0 * math.pi / g.R * g.mesh()[0])
+    quad = fracpow.build_quadrature(fracpow.POWERS, fracpow.spectral_bounds(V), 1e-6)
+    got, _ = fracpow.subordinated_apply_stack(mode[None], V, fracpow.POWERS)
+    for p, y, tol in zip(fracpow.POWERS, got, (1e-13, 1e-13, 1e-8)):
+        want = quad.scalar_apply(p, (3.0 * math.pi / g.R) ** 2 + 2.0)[0] * mode
+        assert np.abs(y[0] - want).max() <= tol * np.abs(want).max(), p
+
+
+def test_a_nonzero_v_under_the_zero_mode_floor_is_refused():
+    # const(1e-8) puts lambda_1 = 1e-8 under the floor 1e-9 * 39.5: a rule
+    # from lambda_2 would drop the mean, 100 % off at -1/2 and -1.
+    g = GridSpec(1, 16, 4.0)
+    wave = np.cos(math.pi * g.axis() / g.R)
+    f = 0.5 + 0.1 * wave
+    V = potentials.discretize_potential(potentials.const(1e-8), g)
+    with pytest.raises(fracpow.QuadratureBuildError, match="zero-mode floor") as info:
+        fracpow.subordinated_apply_stack(f[None], V, fracpow.POWERS)
+    assert "\n" not in str(info.value)
+    V = potentials.discretize_potential(potentials.const(1e-4), g)
+    got, _ = fracpow.subordinated_apply_stack(f[None], V, fracpow.POWERS)
+    for p, y in zip(fracpow.POWERS, got):
+        exact = 0.5 * 1e-4**p + 0.1 * ((math.pi / g.R) ** 2 + 1e-4) ** p * wave
+        assert np.linalg.norm(y[0] - exact) <= 1e-6 * np.linalg.norm(exact), p
+
+
 def test_walk_builds_its_rule_from_the_spectral_bounds_of_v(monkeypatch):
     g = GridSpec(1, 16, 4.0)
     V = potentials.discretize_potential(potentials.harmonic(), g)

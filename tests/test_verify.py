@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rzlab import potentials, semigroup, verify
-from rzlab.grid import GridSpec
+from rzlab import fracpow, potentials, riesz, semigroup, verify
+from rzlab.grid import GridSpec, l2_norms
 
 
 def small_cfg(**kw):
@@ -159,6 +159,33 @@ def test_interp_check_bound_at_p2():
     # worst pair at p = 2 must carry bound 1; p = 1 is always included with bound 2
     assert rep.bound_value in (1.0, 2.0)
     assert rep.passed()
+
+
+def test_factor_ratios_equal_the_l2_and_abs_sum_ratios_bit_for_bit():
+    # one formula serves every p: numpy's scalar-power fast paths make |x|**2
+    # x * x, **0.5 sqrt and **1.0 a copy, so p = 2 and p = 1 give the l2 and
+    # absolute-sum ratios exactly; a numpy change there fails here
+    g = GridSpec(2, 8, 4.0)
+    catalog = potentials.standard_catalog(g.d)
+    stack = verify.trial_family(g, verify.rng_for(1234, "L1_BOUND"), 12)
+    ratios = verify._factor_ratios(g, catalog, lambda pot: stack, (1.0, 2.0))
+
+    def abs_sum(x):
+        return np.abs(x.reshape(len(x), -1)).sum(axis=1)
+
+    for pot in catalog:
+        V = potentials.discretize_potential(pot, g)
+        Af = riesz.factor_from_inv_sqrt(fracpow.dense_power(stack, V, -0.5), g)
+        assert ratios[pot.label(), 2.0] == float((l2_norms(Af, g) / l2_norms(stack, g)).max())
+        assert ratios[pot.label(), 1.0] == float((abs_sum(Af) / abs_sum(stack)).max())
+
+
+def test_report_casts_its_numbers_and_keeps_its_field_order():
+    rep = verify.CheckReport("X", {}, {}, "b", 1, np.float64(0.5), 0, "pass")
+    assert [type(x) for x in (rep.bound_value, rep.measured_value, rep.tolerance)] == [float] * 3
+    raw = rep.to_dict()
+    assert list(raw) == [f.name for f in fields(verify.CheckReport)] and raw["runtime_s"] == 0.0
+    assert list(rep.to_dict(include_runtime=False)) == list(raw)[:-1]
 
 
 def test_green_mass_check_small():
